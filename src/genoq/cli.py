@@ -412,16 +412,26 @@ def build_parser(config: dict | None = None) -> _Parser:
     return parser
 
 
+def _config_path(argv: list[str]) -> str | None:
+    """The value of ``--config PATH`` or ``--config=PATH``, if given."""
+    for i, arg in enumerate(argv):
+        if arg == "--config":
+            return argv[i + 1]
+        if arg.startswith("--config="):
+            return arg.split("=", 1)[1]
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     config = {}
-    if "--config" in argv:
-        try:
-            path = argv[argv.index("--config") + 1]
+    try:
+        path = _config_path(argv)
+        if path is not None:
             config = _load_config(path)
-        except (IndexError, OSError, ValueError) as exc:
-            sys.stderr.write(f"genoq: config error: {exc}\n")
-            return EXIT_CONFIG
+    except (IndexError, OSError, ValueError) as exc:
+        sys.stderr.write(f"genoq: config error: {exc}\n")
+        return EXIT_CONFIG
     parser = build_parser(config)
     args = parser.parse_args(argv)
     try:

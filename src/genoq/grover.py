@@ -3,6 +3,10 @@
 State preparation V entangles each index with its window data, the oracle
 phase-marks states whose data register equals the key, and diffusion is the
 composite V . R0 . Vdag with R0 a sign flip of the all-zeros register.
+
+Searches run these operators as whole-array kernels (``SearchOperators``).
+The gate-level circuits of ``prepare_circuits`` are kept for circuit dumps,
+gate counts and as the reference the kernels are tested against.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .genome import (
     encode_window,
     register_layout,
 )
-from .sim import Circuit, Gate, StateVector, bitstring, gate_count, init_state, run_circuit
+from .sim import Circuit, Gate, StateVector, init_state
 
 
 @dataclass(frozen=True)
@@ -48,13 +52,6 @@ class PreparedDatabaseCircuit:
     state_prep: Circuit
     oracle: Circuit
     diffusion: Circuit
-
-    @property
-    def per_iteration_counts(self) -> dict[str, int]:
-        counts = gate_count(self.oracle)
-        for kind, c in gate_count(self.diffusion).items():
-            counts[kind] = counts.get(kind, 0) + c
-        return counts
 
 
 @dataclass
@@ -83,14 +80,18 @@ def _data_flip_gates(layout: RegisterLayout, slot: int, bits: str,
     return gates
 
 
-def build_state_prep(db: ReadWindowDatabase,
-                     max_qubits: int = sim.MAX_QUBITS) -> Circuit:
-    """H layer on the index register, then one MCX per set data bit per slot."""
-    layout = register_layout(db)
+def _check_capacity(layout: RegisterLayout, max_qubits: int) -> None:
     if layout.total > max_qubits:
         raise CapacityError(
             f"register needs {layout.total} qubits, ceiling is {max_qubits}"
         )
+
+
+def build_state_prep(db: ReadWindowDatabase,
+                     max_qubits: int = sim.MAX_QUBITS) -> Circuit:
+    """H layer on the index register, then one MCX per set data bit per slot."""
+    layout = register_layout(db)
+    _check_capacity(layout, max_qubits)
     gates = [Gate("H", layout.index_qubit(j)) for j in range(layout.index_qubits)]
     for slot in range(db.padded_size):
         padding = slot >= db.count
@@ -162,9 +163,77 @@ def _match_mask(problem: SearchProblem) -> np.ndarray:
     return mask
 
 
+def _marked_probability(state: StateVector, marked: np.ndarray) -> float:
+    return float((np.abs(state.amplitudes[marked]) ** 2).sum())
+
+
 def success_probability(problem: SearchProblem, state: StateVector) -> float:
-    p = np.abs(state.amplitudes) ** 2
-    return float(p[_match_mask(problem)].sum())
+    return _marked_probability(state, _match_mask(problem))
+
+
+@dataclass(frozen=True)
+class SearchOperators:
+    """The search's operators for one problem, as whole-array kernels.
+
+    W is the Hadamard layer on the index register. L is the table load, the
+    basis permutation ``i -> i ^ table[i >> low]`` given as the gather array
+    ``load``; ``table[slot]`` is the slot's encoded window (window 0 plus the
+    flag bit for a padding slot) and ``low`` counts the data and flag qubits.
+    L is an involution, so V = L.W and Vdag = W.L. The oracle O flips the
+    sign of the ``marked`` basis states and R0 that of amplitude 0. Each
+    operator equals its gate-level circuit exactly, global phase included.
+    """
+
+    num_qubits: int
+    index_qubits: range
+    load: np.ndarray
+    marked: np.ndarray
+
+    def prepare(self) -> StateVector:
+        """V|0>, norm-checked."""
+        state = init_state(self.num_qubits)
+        sim.apply_hadamards(state, self.index_qubits)
+        sim.apply_permutation(state, self.load)
+        sim.check_norm(state, "after state preparation")
+        return state
+
+    def iterate(self, state: StateVector, iterations: int) -> StateVector:
+        """``iterations`` rounds of O then V.R0.Vdag, each norm-checked."""
+        for k in range(iterations):
+            sim.flip_signs(state, self.marked)
+            sim.apply_permutation(state, self.load)
+            # Vdag's Hadamards run in reverse order, as in the reversed
+            # circuit, so the kernels match it bit for bit.
+            sim.apply_hadamards(state, reversed(self.index_qubits))
+            sim.flip_signs(state, 0)
+            sim.apply_hadamards(state, self.index_qubits)
+            sim.apply_permutation(state, self.load)
+            sim.check_norm(state, f"after iteration {k + 1}")
+        return state
+
+    def evolve(self, iterations: int) -> StateVector:
+        return self.iterate(self.prepare(), iterations)
+
+
+def build_operators(problem: SearchProblem) -> SearchOperators:
+    """The fused operators of ``problem``; CapacityError past ``sim.MAX_QUBITS``."""
+    layout = problem.layout
+    _check_capacity(layout, sim.MAX_QUBITS)
+    db = problem.db
+    table = [int(bits, 2) for bits in db.windows]
+    if db.has_padding:
+        padding = int(db.windows[0], 2) | (1 << layout.flag_qubit)
+        table += [padding] * (db.padded_size - db.count)
+    low = layout.data_qubits + layout.flag_qubits
+    # Row ``slot`` holds the low bits XOR table[slot], then the slot bits.
+    load = np.arange(1 << low, dtype=np.intp) ^ np.array(table, dtype=np.intp)[:, None]
+    load |= np.arange(db.padded_size, dtype=np.intp)[:, None] << low
+    return SearchOperators(
+        num_qubits=layout.total,
+        index_qubits=range(low, layout.total),
+        load=load.ravel(),
+        marked=np.flatnonzero(_match_mask(problem)),
+    )
 
 
 def decode_outcome(problem: SearchProblem, bits: str) -> tuple[int, str]:
@@ -177,14 +246,16 @@ def decode_outcome(problem: SearchProblem, bits: str) -> tuple[int, str]:
 
 
 def run_search(problem: SearchProblem, iterations: int, shots: int,
-               seed: int) -> GroverRun:
-    circuits = prepare_circuits(problem)
-    state = init_state(problem.layout.total)
-    run_circuit(circuits.state_prep, state)
-    for _ in range(iterations):
-        run_circuit(circuits.oracle, state)
-        run_circuit(circuits.diffusion, state)
-    p_exact = success_probability(problem, state)
+               seed: int, operators: SearchOperators | None = None) -> GroverRun:
+    """Evolve V|0> through ``iterations`` Grover iterations, then sample.
+
+    ``operators`` must come from ``build_operators(problem)``; pass them to
+    reuse one build across runs of the same problem.
+    """
+    if operators is None:
+        operators = build_operators(problem)
+    state = operators.evolve(iterations)
+    p_exact = _marked_probability(state, operators.marked)
     histogram = sim.sample(state, seed=seed, shots=shots)
     key_bits = problem.key_bits
     matched = set()
@@ -227,9 +298,11 @@ def search_unknown_count(problem: SearchProblem, seed: int,
     """
     key_bits = problem.key_bits
     budget = 2 * math.ceil(math.sqrt(problem.db.padded_size)) + 1
+    operators = build_operators(problem)
     k = 1
     while k <= budget:
-        run = run_search(problem, iterations=k, shots=shots, seed=seed + k)
+        run = run_search(problem, iterations=k, shots=shots, seed=seed + k,
+                         operators=operators)
         top = max(run.histogram, key=run.histogram.get)
         index, data = decode_outcome(problem, top)
         if data == key_bits and index < problem.db.count:

@@ -411,7 +411,9 @@ def write_model(model: Model) -> str:
 
 
 def read_model(text: str) -> Model:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse ``write_model`` text; blank lines and ``#`` comment lines are skipped."""
+    lines = [ln for ln in text.splitlines()
+             if ln.strip() and not ln.lstrip().startswith("#")]
     header = lines[0].split()
     if len(header) != 4 or header[0] != "QUBO":
         raise ValueError("bad model header")

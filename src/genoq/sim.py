@@ -1,5 +1,10 @@
 """Dense statevector simulator with natively applied multicontrolled gates.
 
+Besides gate-by-gate execution (``apply_gate``, ``run_circuit``), it offers
+whole-array kernels for structured operators: a Hadamard layer as one
+butterfly per qubit, a basis permutation as one gather, and sign flips on a
+set of basis states.
+
 Qubit 0 is the rightmost bit of a printed bitstring (little-endian), so
 basis index ``i`` has qubit ``k`` equal to ``(i >> k) & 1``.
 """
@@ -154,11 +159,47 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         b = amps[i1].copy()
         amps[i0] = (a + b) * _INV_SQRT2
         amps[i1] = (a - b) * _INV_SQRT2
-    nrm = np.vdot(amps, amps).real
+    check_norm(state, f"after {gate.label} on qubit {gate.target}")
+    return state
+
+
+def check_norm(state: StateVector, where: str) -> None:
+    """Raise NormalizationError when the squared norm is off 1 by more than NORM_TOL."""
+    nrm = np.vdot(state.amplitudes, state.amplitudes).real
     if abs(nrm - 1.0) > NORM_TOL:
-        raise NormalizationError(
-            f"norm drifted to {nrm!r} after {gate.label} on qubit {gate.target}"
-        )
+        raise NormalizationError(f"norm drifted to {nrm!r} {where}")
+
+
+def apply_hadamards(state: StateVector, qubits) -> StateVector:
+    """H on each of ``qubits`` in turn, in place, one reshaped butterfly per qubit.
+
+    The arithmetic is apply_gate's H branch, so the result equals a
+    gate-by-gate H layer over the same qubits in the same order bit for bit.
+    """
+    amps = state.amplitudes
+    for q in qubits:
+        pairs = amps.reshape(-1, 2, 1 << q)
+        a, b = pairs[:, 0], pairs[:, 1]
+        total = a + b
+        np.subtract(a, b, out=b)
+        np.multiply(total, _INV_SQRT2, out=a)
+        b *= _INV_SQRT2
+    return state
+
+
+def apply_permutation(state: StateVector, gather: np.ndarray) -> StateVector:
+    """Basis permutation: amplitude ``i`` becomes the old amplitude ``gather[i]``.
+
+    Replaces ``state.amplitudes`` with a new array.
+    """
+    state.amplitudes = state.amplitudes[gather]
+    return state
+
+
+def flip_signs(state: StateVector, indices) -> StateVector:
+    """Phase -1 on the basis states ``indices``, in place."""
+    amps = state.amplitudes
+    amps[indices] = -amps[indices]
     return state
 
 

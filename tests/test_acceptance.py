@@ -15,7 +15,7 @@ import pytest
 from genoq import grover, qubo, runtime, solvers, tts
 from genoq.cli import main
 from genoq.genome import build_window_db, layout_for
-from genoq.sim import bitstring, init_state, run_circuit
+from genoq.sim import bitstring
 
 
 def _report(name: str, ok: bool, started: float, budget: float) -> None:
@@ -82,12 +82,7 @@ def test_acceptance_4_runtime_numbers():
 
 
 def _argmax_decode(problem, iterations):
-    circuits = grover.prepare_circuits(problem)
-    state = init_state(problem.layout.total)
-    run_circuit(circuits.state_prep, state)
-    for _ in range(iterations):
-        run_circuit(circuits.oracle, state)
-        run_circuit(circuits.diffusion, state)
+    state = grover.build_operators(problem).evolve(iterations)
     best = int(np.argmax(np.abs(state.amplitudes) ** 2))
     return grover.decode_outcome(problem, bitstring(best, problem.layout.total))
 
@@ -120,14 +115,12 @@ def test_acceptance_5_grover_oracle():
         for s in range(1, n + 1):
             problem = grover.make_problem(
                 build_window_db("A" * s + "T" * (n - s), 1), "A")
-            circuits = grover.prepare_circuits(problem)
-            state = init_state(problem.layout.total)
-            run_circuit(circuits.state_prep, state)
+            operators = grover.build_operators(problem)
+            state = operators.prepare()
             theta = math.asin(math.sqrt(s / db_padded))
             for k in range(11):
                 if k:
-                    run_circuit(circuits.oracle, state)
-                    run_circuit(circuits.diffusion, state)
+                    operators.iterate(state, 1)
                 p = grover.success_probability(problem, state)
                 expected = math.sin((2 * k + 1) * theta) ** 2
                 formula_ok &= abs(p - expected) <= 1e-9

@@ -171,6 +171,25 @@ def test_qubo_solve_brute(tmp_path, capsys):
     assert len(payload["optimal_assignments"]) == 6
 
 
+def test_qubo_build_out_then_solve(tmp_path, capsys):
+    # The documented pipeline: the built file ends in "# key=value" lines.
+    inst = tmp_path / "g.json"
+    inst.write_text(json.dumps(
+        {"n": 3, "edges": [[0, 1, 1.0], [0, 2, 1.0], [1, 2, 1.0]]}))
+    model_file = tmp_path / "m.qubo"
+    code, _, _ = run_cli(
+        ["qubo-build", "--problem", "max-cut", "--input", str(inst),
+         "--out", str(model_file)], capsys)
+    assert code == 0
+    assert "\n# " in model_file.read_text()
+    code, out, _ = run_cli(
+        ["qubo-solve", "--model", str(model_file), "--no-timestamp"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["best_energy"] == pytest.approx(-2.0)
+    assert len(payload["optimal_assignments"]) == 6
+
+
 def test_qubo_solve_sa_requires_seed(tmp_path, capsys):
     model_file = tmp_path / "m.qubo"
     model_file.write_text("QUBO 2 0 spin\n0 1 -1\n")
@@ -239,6 +258,16 @@ def test_config_file_sets_defaults(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["meta"]["parameters"]["shots"] == 512
     assert sum(payload["histogram"].values()) == 512
+
+
+def test_config_equals_form_sets_defaults(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("shots=512\n")
+    code, out, _ = run_cli(
+        [f"--config={cfg}", "grover-demo", "--seed", "1", "--no-timestamp"],
+        capsys)
+    assert code == 0
+    assert sum(json.loads(out)["histogram"].values()) == 512
 
 
 def test_flag_overrides_config(tmp_path, capsys):

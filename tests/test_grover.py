@@ -1,10 +1,14 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from genoq import grover
-from genoq.errors import CapacityError, ShapeError
+from genoq import grover, sim
+from genoq.errors import CapacityError, NormalizationError, ShapeError
 from genoq.genome import build_window_db, register_layout
 from genoq.sim import Circuit, Gate, init_state, run_circuit
 
@@ -67,8 +71,11 @@ def test_state_prep_padding_flag():
 
 
 def test_state_prep_capacity():
+    db = build_window_db("ATGC" * 100, 20)
     with pytest.raises(CapacityError):
-        grover.build_state_prep(build_window_db("ATGC" * 100, 20))
+        grover.build_state_prep(db)
+    with pytest.raises(CapacityError):
+        grover.build_operators(grover.make_problem(db, "ATGC" * 5))
 
 
 def test_oracle_marks_only_key():
@@ -276,3 +283,76 @@ def test_state_prep_toy_gate_totals():
 
     counts = gate_count(grover.build_state_prep(build_window_db("TATG", 1)))
     assert counts == {"H": 2, "CX": 3}
+
+
+@st.composite
+def search_problems(draw):
+    """A random genome and a key that is one of its windows or any string."""
+    genome = draw(st.text(alphabet="ATGC", min_size=1, max_size=40))
+    m = draw(st.integers(1, min(3, len(genome))))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, len(genome) - m))
+        key = genome[start : start + m]
+    else:
+        key = draw(st.text(alphabet="ATGC", min_size=m, max_size=m))
+    return genome, key
+
+
+@settings(max_examples=40, deadline=None)
+@given(search_problems(), st.integers(0, 2**31))
+@example(("ATGATGA", "ATG"), 1)  # padded (flag qubit), repeated key
+@example(("TATGA", "C"), 2)  # padded, absent key
+@example(("ATGC", "G"), 3)  # unpadded, unique key
+@example(("A", "A"), 4)  # single window, no index qubits
+def test_fused_operators_match_gate_circuits(case, seed):
+    genome, key = case
+    problem = grover.make_problem(build_window_db(genome, len(key)), key)
+    circuits = grover.prepare_circuits(problem)
+    operators = grover.build_operators(problem)
+    fused = operators.prepare()
+    gates = init_state(problem.layout.total)
+    run_circuit(circuits.state_prep, gates)
+    for k in range(5):
+        if k:
+            operators.iterate(fused, 1)
+            run_circuit(circuits.oracle, gates)
+            run_circuit(circuits.diffusion, gates)
+        assert np.max(np.abs(fused.amplitudes - gates.amplitudes)) <= 1e-12
+        assert (sim.sample(fused, seed=seed + k, shots=64)
+                == sim.sample(gates, seed=seed + k, shots=64))
+
+
+def test_fused_path_detects_norm_drift():
+    operators = grover.build_operators(toy_problem())
+    state = operators.prepare()
+    state.amplitudes *= 1.01
+    with pytest.raises(NormalizationError, match="after iteration 1"):
+        operators.iterate(state, 1)
+    # A load that is no permutation makes L non-unitary.
+    broken = dataclasses.replace(operators, load=np.zeros_like(operators.load))
+    with pytest.raises(NormalizationError, match="after state preparation"):
+        broken.prepare()
+
+
+def test_search_unknown_count_builds_operators_once(monkeypatch):
+    built = []
+    build = grover.build_operators
+    monkeypatch.setattr(grover, "build_operators",
+                        lambda problem: built.append(problem) or build(problem))
+    problem = grover.make_problem(build_window_db("AAAAAAAA", 2), "CC")
+    assert grover.search_unknown_count(problem, seed=4) is None
+    assert built == [problem]
+
+
+def test_fused_search_memory_is_a_few_statevectors():
+    # The state, the load gather array and per-call scratch: nothing cached.
+    genome = "".join(np.random.default_rng(8).choice(list("ATGC"), size=300))
+    problem = grover.make_problem(build_window_db(genome, 3), genome[:3])
+    tracemalloc.start()
+    try:
+        state = grover.build_operators(problem).evolve(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert problem.layout.total == 16
+    assert peak <= 4 * state.amplitudes.nbytes

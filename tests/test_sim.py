@@ -7,8 +7,11 @@ from genoq.sim import (
     Gate,
     StateVector,
     apply_gate,
+    apply_hadamards,
+    apply_permutation,
     bitstring,
     compiled_gate_estimate,
+    flip_signs,
     gate_count,
     init_state,
     probabilities,
@@ -291,6 +294,27 @@ def test_norm_drift_detected():
     state.amplitudes[0] = 2.0  # corrupt the norm deliberately
     with pytest.raises(NormalizationError):
         apply_gate(state, Gate("X", 0))
+
+
+def test_whole_array_kernels_match_gates():
+    rng = np.random.default_rng(21)
+    state = random_state(5, rng)
+    ref = state.copy()
+    apply_hadamards(state, [3, 0, 4])
+    for q in (3, 0, 4):
+        apply_gate(ref, Gate("H", q))
+    assert np.array_equal(state.amplitudes, ref.amplitudes)
+    gather = np.arange(32) ^ 0b10110  # the X gates on qubits 1, 2 and 4
+    apply_permutation(state, gather)
+    for q in (1, 2, 4):
+        apply_gate(ref, Gate("X", q))
+    assert np.array_equal(state.amplitudes, ref.amplitudes)
+    flip_signs(state, [0])
+    run_circuit(Circuit(5, tuple(
+        [Gate("X", q) for q in range(5)]
+        + [Gate("Z", 0, tuple((q, 1) for q in range(1, 5)))]
+        + [Gate("X", q) for q in range(5)])), ref)
+    assert np.array_equal(state.amplitudes, ref.amplitudes)
 
 
 def test_bitstring_convention():
