@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -15,10 +16,11 @@ from . import __version__, grover, qubo, runtime, solvers, tts
 from .errors import (
     CapacityError,
     InfeasibleBudgetError,
+    ParseError,
     SequenceParseError,
     ShapeError,
 )
-from .genome import build_window_db, layout_for, parse_sequence
+from .genome import BASE_BITS, build_window_db, layout_for, parse_sequence
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -136,11 +138,22 @@ def cmd_grover_demo(args) -> int:
     return EXIT_OK if ok else EXIT_DOMAIN
 
 
+def _parse_key(text: str) -> str:
+    """The --key bases, uppercased; rejected like a bad genome base."""
+    for pos, ch in enumerate(text, 1):
+        if ch.upper() not in BASE_BITS:
+            raise SequenceParseError(
+                f"invalid base {ch!r} at position {pos} of --key", pos)
+    if not text:
+        raise SequenceParseError("empty --key", 0)
+    return text.upper()
+
+
 def cmd_grover_search(args) -> int:
     _require_seed(args)
     with open(args.genome) as fh:
         genome = parse_sequence(fh.read())
-    key = args.key.upper()
+    key = _parse_key(args.key)
     db = build_window_db(genome, len(key))
     layout = layout_for(len(genome), len(key))
     if layout.total > args.max_qubits:
@@ -217,6 +230,8 @@ def _build_encoding(args) -> qubo.Encoding:
     if args.input:
         with open(args.input) as fh:
             text = fh.read()
+    elif problem not in ("assembly-path", "tsp-path"):
+        raise ValueError(f"{problem} builds need --input")
     else:
         text = None
     if problem == "max-cut":
@@ -291,15 +306,14 @@ def cmd_tts_scan(args) -> int:
     for n in sizes:
         if args.stub_tau:
             # Closed-form stub p(t) = 1 - exp(-t / (tau * N)) for protocol checks.
-            import math
-
             tau = args.stub_tau * n
             estimator = lambda t, tau=tau: 1.0 - math.exp(-t / tau)
         else:
             model = solvers.planted_ferromagnet(n, args.density, args.seed + n)
-            best_e, _ = solvers.brute_force(model)
+            # Certified ground: the planted state satisfies every +-1 coupling.
+            ground = -float(len(model.J))
             estimator = tts.sa_probability_estimator(
-                model, threshold=best_e, runs=args.runs, seed=args.seed + n)
+                model, threshold=ground, runs=args.runs, seed=args.seed + n)
         curve = tts.tts_curve(estimator, t_grid, args.target_p)
         for p in curve.points:
             rows.append(
@@ -331,7 +345,6 @@ def cmd_tts_scan(args) -> int:
 def _add_common(p: _Parser) -> None:
     p.add_argument("--seed", type=int, help="RNG seed (required when stochastic)")
     p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format")
     p.add_argument("--no-timestamp", action="store_true",
                    help="suppress the timestamp metadata field")
 
@@ -439,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         sys.stderr.write(f"genoq: capacity error: {exc}\n")
         return EXIT_CAPACITY
-    except (SequenceParseError,) as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"genoq: parse error: {exc}\n")
         return EXIT_CONFIG
     except (InfeasibleBudgetError, ShapeError, ValueError, OSError) as exc:

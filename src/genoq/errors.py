@@ -9,7 +9,11 @@ class ShapeError(ValueError):
     """Mismatched dimensions between two objects (circuit vs state, key vs register, ...)."""
 
 
-class SequenceParseError(ValueError):
+class ParseError(ValueError):
+    """Malformed input text: a DNA sequence, a model file or instance JSON."""
+
+
+class SequenceParseError(ParseError):
     """Invalid character in a DNA sequence; carries the 1-based position."""
 
     def __init__(self, message: str, position: int):

@@ -11,8 +11,6 @@ BASES = "ATGC"
 BASE_BITS = {"A": "00", "T": "01", "G": "10", "C": "11"}
 BITS_BASE = {v: k for k, v in BASE_BITS.items()}
 
-AMINO_ACID_BITS = 5  # 2^4 < 20 <= 2^5
-
 
 def encode_base(base: str) -> str:
     return BASE_BITS[base]

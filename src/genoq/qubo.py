@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Callable, Sequence
 
-from .errors import CapacityError, ShapeError
+from .errors import CapacityError, ParseError, ShapeError
 
 ASSEMBLY_NODE_CAP = 6  # keeps n^2-variable models brute-force verifiable
 
@@ -411,20 +411,42 @@ def write_model(model: Model) -> str:
 
 
 def read_model(text: str) -> Model:
-    """Parse ``write_model`` text; blank lines and ``#`` comment lines are skipped."""
-    lines = [ln for ln in text.splitlines()
+    """Parse ``write_model`` text; blank lines and ``#`` comment lines are skipped.
+
+    Anything else that ``write_model`` cannot have written raises ParseError:
+    a bad header, a term line that is not ``i j value`` with 0 <= i <= j < n,
+    a repeated term, or a non-finite number.
+    """
+    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1)
              if ln.strip() and not ln.lstrip().startswith("#")]
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != "QUBO":
-        raise ValueError("bad model header")
-    n, offset, convention = int(header[1]), float(header[2]), header[3]
-    if convention not in ("spin", "binary"):
-        raise ValueError(f"unknown convention {convention!r}")
+    if not lines:
+        raise ParseError("empty model file")
+    no, header = lines[0]
+    try:
+        if len(header) != 4 or header[0] != "QUBO":
+            raise ValueError("expected 'QUBO n offset convention'")
+        n, offset, convention = int(header[1]), _finite(header[2]), header[3]
+        if n < 1:
+            raise ValueError("model needs at least one variable")
+        if convention not in ("spin", "binary"):
+            raise ValueError(f"unknown convention {convention!r}")
+    except ValueError as exc:
+        raise ParseError(f"line {no}: bad model header: {exc}") from exc
     h = [0.0] * n
     J: dict[tuple[int, int], float] = {}
-    for ln in lines[1:]:
-        si, sj, sv = ln.split()
-        i, j, v = int(si), int(sj), float(sv)
+    seen: set[tuple[int, int]] = set()
+    for no, fields in lines[1:]:
+        try:
+            if len(fields) != 3:
+                raise ValueError("expected 'i j value'")
+            i, j, v = int(fields[0]), int(fields[1]), _finite(fields[2])
+            if not 0 <= i <= j < n:
+                raise ValueError(f"need 0 <= i <= j < {n}, got {i} {j}")
+            if (i, j) in seen:
+                raise ValueError(f"repeated term {i} {j}")
+        except ValueError as exc:
+            raise ParseError(f"line {no}: bad term: {exc}") from exc
+        seen.add((i, j))
         if i == j:
             h[i] = v
         else:
@@ -433,36 +455,62 @@ def read_model(text: str) -> Model:
     return cls(n, tuple(h), J, offset)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def _int(value) -> int:
+    """A JSON integer; a float, string or boolean is rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _edge_dict(pairs) -> dict[tuple[int, int], float]:
     out = {}
     for i, j, w in pairs:
+        i, j = _int(i), _int(j)
         key = (min(i, j), max(i, j))
         out[key] = out.get(key, 0.0) + float(w)
     return out
 
 
+def _from_json(text: str, build: Callable[[dict], object]):
+    """``build`` applied to the parsed instance; a malformed one is a ParseError."""
+    try:
+        obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise TypeError("expected a JSON object")
+        return build(obj)
+    except KeyError as exc:
+        raise ParseError(f"bad instance JSON: missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad instance JSON: {exc}") from exc
+
+
 def weighted_graph_from_json(text: str) -> WeightedGraph:
-    obj = json.loads(text)
-    return WeightedGraph(int(obj["n"]), _edge_dict(obj.get("edges", [])))
+    return _from_json(text, lambda obj: WeightedGraph(
+        _int(obj["n"]), _edge_dict(obj.get("edges", []))))
 
 
 def fragment_graph_from_json(text: str) -> FragmentGraph:
-    obj = json.loads(text)
-    return FragmentGraph(int(obj["n"]), _edge_dict(obj.get("edges", [])))
+    return _from_json(text, lambda obj: FragmentGraph(
+        _int(obj["n"]), _edge_dict(obj.get("edges", []))))
 
 
 def knapsack_from_json(text: str) -> KnapsackInstance:
-    obj = json.loads(text)
-    return KnapsackInstance(
-        tuple(int(v) for v in obj["values"]),
-        tuple(int(w) for w in obj["weights"]),
-        int(obj["capacity"]),
-    )
+    return _from_json(text, lambda obj: KnapsackInstance(
+        tuple(_int(v) for v in obj["values"]),
+        tuple(_int(w) for w in obj["weights"]),
+        _int(obj["capacity"]),
+    ))
 
 
 def overlap_from_json(text: str) -> OverlapInstance:
-    obj = json.loads(text)
-    overlaps = {
-        (int(u), int(v)): float(w) for u, v, w in obj.get("overlaps", [])
-    }
-    return OverlapInstance(int(obj["n"]), overlaps)
+    return _from_json(text, lambda obj: OverlapInstance(
+        _int(obj["n"]),
+        {(_int(u), _int(v)): float(w) for u, v, w in obj.get("overlaps", [])},
+    ))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -112,50 +112,51 @@ def flip_delta(model: Model, assignment: Sequence[int], i: int) -> float:
     return (new - old) * f
 
 
+def _anneal(model: Model, nbrs: list[list[tuple[int, float]]],
+            betas: list[float], seed) -> tuple[list[int], list[float]]:
+    """One Metropolis run with incremental local-field dE, on plain Python lists
+    (much faster to index than numpy scalars). Seeded outputs rest on the draw
+    order: n bits, then per sweep n targets and n thresholds. Returns the best
+    assignment and the best-so-far energy per sweep."""
+    n = model.n
+    spin = isinstance(model, IsingModel)
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=n).tolist()
+    vals = [2 * b - 1 for b in bits] if spin else bits
+    fields = [float(h) for h in model.h]
+    for (i, j), w in model.J.items():
+        fields[i] += w * vals[j]
+        fields[j] += w * vals[i]
+    e = energy(model, vals)
+    best_e, best = e, vals[:]
+    trace: list[float] = []
+    for beta in betas:
+        targets = rng.integers(0, n, size=n).tolist()
+        thresholds = rng.random(n).tolist()
+        for t, u in zip(targets, thresholds):
+            old = vals[t]
+            step = -2 * old if spin else 1 - 2 * old
+            delta = step * fields[t]
+            if delta <= 0.0 or u < math.exp(-beta * delta):
+                vals[t] = old + step
+                e += delta
+                for j, w in nbrs[t]:
+                    fields[j] += w * step
+                if e < best_e:
+                    best_e, best = e, vals[:]
+        trace.append(best_e)
+    return best, trace
+
+
 def simulated_annealing(model: Model, schedule: AnnealSchedule,
                         seed) -> SolverRun:
     """Metropolis single-variable updates with incremental local-field dE."""
     t0 = time.perf_counter()
-    n = model.n
-    spin = isinstance(model, IsingModel)
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=n)
-    vals = (2 * bits - 1) if spin else bits
-    vals = vals.astype(np.int64)
-    nbrs = _neighbor_lists(model)
-    fields = np.asarray(model.h, dtype=float).copy()
-    for (i, j), w in model.J.items():
-        fields[i] += w * vals[j]
-        fields[j] += w * vals[i]
-    e = energy(model, tuple(int(v) for v in vals))
-    best_e = e
-    best = vals.copy()
-    trace: list[float] = []
-    for beta in schedule.betas():
-        targets = rng.integers(0, n, size=n)
-        thresholds = rng.random(n)
-        for t, u in zip(targets, thresholds):
-            old = vals[t]
-            new = -old if spin else 1 - old
-            delta = (new - old) * fields[t]
-            if delta <= 0.0 or u < math.exp(-beta * delta):
-                vals[t] = new
-                e += delta
-                step = new - old
-                for j, w in nbrs[t]:
-                    fields[j] += w * step
-                if e < best_e:
-                    best_e = e
-                    best = vals.copy()
-        trace.append(best_e)
-    best_tuple = tuple(int(v) for v in best)
-    return SolverRun(
-        best_assignment=best_tuple,
-        best_energy=energy(model, best_tuple),
-        trace=trace,
-        seed=seed,
-        wall_seconds=time.perf_counter() - t0,
-    )
+    best, trace = _anneal(model, _neighbor_lists(model),
+                          schedule.betas().tolist(), seed)
+    best = tuple(best)
+    return SolverRun(best, energy(model, best), trace, seed,
+                     time.perf_counter() - t0)
 
 
 def estimate_success_probability(model: Model, schedule: AnnealSchedule,
@@ -164,12 +165,11 @@ def estimate_success_probability(model: Model, schedule: AnnealSchedule,
     """Independently-seeded SA runs; success iff best energy <= threshold."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    child_seeds = np.random.SeedSequence(seed).spawn(runs)
-    successes = 0
-    for s in child_seeds:
-        run = simulated_annealing(model, schedule, s)
-        if run.best_energy <= threshold + 1e-9:
-            successes += 1
+    nbrs = _neighbor_lists(model)
+    betas = schedule.betas().tolist()
+    successes = sum(
+        energy(model, _anneal(model, nbrs, betas, s)[0]) <= threshold + 1e-9
+        for s in np.random.SeedSequence(seed).spawn(runs))
     return SuccessStats(runs=runs, successes=successes, threshold=threshold)
 
 

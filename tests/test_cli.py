@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genoq import qubo
+from genoq import qubo, solvers
 from genoq.cli import main
 
 
@@ -76,6 +82,20 @@ def test_grover_search_bad_base_exits_three(tmp_path, capsys):
          "--seed", "1"], capsys)
     assert code == 3
     assert "position 3" in err
+
+
+@pytest.mark.parametrize("key, message", [
+    ("AN", "invalid base 'N' at position 2 of --key"),
+    ("", "empty --key"),
+], ids=["non-acgt", "empty"])
+def test_grover_search_bad_key_exits_three(tmp_path, capsys, key, message):
+    genome = tmp_path / "g.txt"
+    genome.write_text("ATGCATGC\n")
+    code, _, err = run_cli(
+        ["grover-search", "--genome", str(genome), "--key", key,
+         "--seed", "1"], capsys)
+    assert code == 3
+    assert err == f"genoq: parse error: {message}\n"
 
 
 def test_grover_search_capacity_exits_two(tmp_path, capsys):
@@ -209,6 +229,93 @@ def test_qubo_solve_sa(tmp_path, capsys):
     assert payload["best_energy"] == pytest.approx(-3.0)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty model file"),
+    ("QUBO 2 0 spin\n5 5 1\n", "line 2: bad term: need 0 <= i <= j < 2, got 5 5"),
+    ("QUBO 2 0 spin\n-1 -1 2.0\n", "need 0 <= i <= j < 2, got -1 -1"),
+    ("QUBO 2 0 spin\n1 0 1\n", "need 0 <= i <= j < 2, got 1 0"),
+    ("QUBO 2 0 spin\n0 1 1\n# note\n0 1 2\n", "line 4: bad term: repeated term 0 1"),
+    ("QUBO 2 0 spin\n0 0 1\n0 0 1\n", "repeated term 0 0"),
+    ("QUBO 2 0 spin\n0 1\n", "expected 'i j value'"),
+    ("QUBO 2 0 spin\n0 1 nan\n", "'nan' is not finite"),
+    ("NOPE 2 0 spin\n", "line 1: bad model header"),
+    ("QUBO 0 0 spin\n", "model needs at least one variable"),
+    ("QUBO two 0 spin\n", "bad model header"),
+], ids=["empty", "index-above-n", "negative-index", "i-above-j", "repeated-coupling",
+        "repeated-field", "two-fields", "nan", "bad-magic", "zero-variables",
+        "bad-n"])
+def test_qubo_solve_malformed_model_exits_three(tmp_path, capsys, text, message):
+    model_file = tmp_path / "m.qubo"
+    model_file.write_text(text)
+    code, out, err = run_cli(["qubo-solve", "--model", str(model_file)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("genoq: parse error: ") and message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("problem, text, message", [
+    ("max-cut", '{"edges": []}', "missing key 'n'"),
+    ("max-cut", "[]", "expected a JSON object"),
+    ("max-cut", "{", "bad instance JSON"),
+    ("max-cut", '{"n": 3, "edges": 5}', "bad instance JSON"),
+    ("phasing", '{"n": 2, "edges": [[0, 1]]}', "bad instance JSON"),
+    ("mis", '{"n": 2, "edges": [[0, 5, 1.0]]}', "(0, 5)"),
+    ("knapsack", '{"values": [1]}', "missing key 'weights'"),
+    ("tsp-path", '{"overlaps": []}', "missing key 'n'"),
+    ("max-cut", '{"n": 3, "edges": [[0, 1.5, 1.0]]}', "expected an integer, got 1.5"),
+    ("knapsack", '{"values": [2.5], "weights": [1], "capacity": 3}',
+     "expected an integer, got 2.5"),
+], ids=["no-n", "not-object", "bad-json", "edges-not-list", "short-edge",
+        "edge-out-of-range", "no-weights", "overlaps-no-n", "fractional-index",
+        "fractional-value"])
+def test_qubo_build_malformed_instance_exits_three(tmp_path, capsys, problem,
+                                                   text, message):
+    inst = tmp_path / "i.json"
+    inst.write_text(text)
+    code, out, err = run_cli(
+        ["qubo-build", "--problem", problem, "--input", str(inst)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("genoq: parse error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_qubo_build_needs_input(capsys):
+    code, _, err = run_cli(["qubo-build", "--problem", "max-cut"], capsys)
+    assert code == 1
+    assert err == "genoq: error: max-cut builds need --input\n"
+
+
+MODEL_LINES = st.one_of(
+    st.sampled_from(["QUBO 3 0 spin", "QUBO 2 0.5 binary", "QUBO 1 0 spin"]),
+    st.builds("{} {} {}".format, st.integers(-2, 4), st.integers(-2, 4),
+              st.sampled_from(["1", "-0.5", "nan", "inf", "1e999", "x"])),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.one_of(
+           st.binary(max_size=64),
+           st.lists(MODEL_LINES, max_size=6).map(lambda ls: "\n".join(ls).encode())),
+       solver=st.sampled_from(["brute", "sa"]))
+def test_qubo_solve_any_model_bytes_exits_cleanly(data, solver):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.qubo")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["qubo-solve", "--model", path, "--solver", solver,
+                         "--seed", "1", "--sweeps", "2"])
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert json.loads(out.getvalue())["solver"] == solver
+    else:
+        assert err.getvalue().count("\n") == 1
+
+
 def test_qubo_solve_missing_model_exits_one(capsys):
     code, _, _ = run_cli(["qubo-solve", "--model", "/nonexistent"], capsys)
     assert code == 1
@@ -237,6 +344,56 @@ def test_tts_scan_sa_small(capsys):
          "--seed", "4", "--no-timestamp"], capsys)
     assert code == 0
     assert "N,TTS_star,t_star,boundary_flag" in out
+
+
+# Recorded before the SA kernel moved to plain lists and the brute force
+# left tts-scan; both changes must leave this output byte-identical.
+TTS_GOLDEN = """\
+# command=tts-scan
+# version=0.1.0
+# param.density=0.5
+# param.runs=8
+# param.seed=5
+# param.sizes=8,10,12
+# param.t_grid=1,2,4,8,16
+# param.target_p=0.90000000000000002
+N,t,p_hat,R,TTS
+8,1,0.125,18,18
+8,2,0.125,18,36
+8,4,0.5,4,16
+8,8,0.75,2,16
+8,16,1,1,16
+10,1,0,excluded,excluded
+10,2,0.25,9,18
+10,4,0.625,3,12
+10,8,1,1,8
+10,16,1,1,16
+12,1,0,excluded,excluded
+12,2,0,excluded,excluded
+12,4,1,1,4
+12,8,1,1,8
+12,16,1,1,16
+N,TTS_star,t_star,boundary_flag
+8,16,4,0
+10,8,8,0
+12,4,4,1
+# power_law_exponent=-3.407509350416333
+# power_law_stderr=0.19806929764612302
+# exponential_base=0.70710678118654757
+# exponential_stderr=1.873334247669415e-16
+"""
+
+
+def test_tts_scan_golden_output_without_brute_force(capsys, monkeypatch):
+    def no_brute_force(model):
+        raise AssertionError("tts-scan must not brute-force planted instances")
+
+    monkeypatch.setattr(solvers, "brute_force", no_brute_force)
+    code, out, _ = run_cli(
+        ["tts-scan", "--sizes", "8,10,12", "--t-grid", "1,2,4,8,16",
+         "--runs", "8", "--seed", "5", "--no-timestamp"], capsys)
+    assert code == 0
+    assert out == TTS_GOLDEN
 
 
 def test_determinism_byte_identical(tmp_path, capsys):

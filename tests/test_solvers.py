@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genoq.errors import CapacityError
 from genoq.qubo import BinaryModel, IsingModel, energy, maxcut_to_ising, WeightedGraph
@@ -149,6 +151,38 @@ def test_sa_degenerate_single_sweep():
         energy(model, run.best_assignment), abs=1e-12)
 
 
+# Recorded from the kernel that indexed numpy arrays scalar by scalar; the
+# list kernel must reproduce its RNG use and float arithmetic bit for bit.
+SA_GOLDEN = {
+    IsingModel: (23, 31, (-1, -1, -1, -1, -1, 1, -1, -1, 1), -11.229684240374384,
+                 [-6.61643771372731] * 4 + [-11.229684240374377] * 2),
+    BinaryModel: (29, 37, (1, 1, 1, 0, 0, 1, 1, 0, 0), -1.7570729992858094,
+                  [-1.3793494754802431] * 2 + [-1.7570729992858096] * 4),
+}
+
+
+@pytest.mark.parametrize("cls", [IsingModel, BinaryModel])
+def test_sa_golden_outputs(cls):
+    model_seed, seed, assignment, best_energy, trace = SA_GOLDEN[cls]
+    model = random_model(np.random.default_rng(model_seed), 9, cls)
+    run = simulated_annealing(model, AnnealSchedule(sweeps=6), seed=seed)
+    assert run.best_assignment == assignment
+    assert run.best_energy == best_energy
+    assert run.trace == trace
+
+
+def test_success_probability_counts_sa_runs():
+    model = random_model(np.random.default_rng(8), 10)
+    schedule = AnnealSchedule(sweeps=5)
+    ground, _ = brute_force(model)
+    stats = estimate_success_probability(
+        model, schedule, runs=30, threshold=ground, seed=13)
+    runs = [simulated_annealing(model, schedule, s)
+            for s in np.random.SeedSequence(13).spawn(30)]
+    assert stats.successes == sum(r.best_energy <= ground + 1e-9 for r in runs)
+    assert 0 < stats.successes < 30
+
+
 def test_success_probability_reproducible_and_bounded():
     model = chain_ferromagnet(8)
     stats = estimate_success_probability(
@@ -185,6 +219,16 @@ def test_planted_ferromagnet_ground_state():
     model = planted_ferromagnet(10, density=0.5, seed=9)
     ground, _ = brute_force(model)
     assert ground == pytest.approx(-len(model.J))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), density=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+       seed=st.integers(0, 2**31 - 1))
+def test_planted_ground_is_minus_coupling_count(n, density, seed):
+    # tts-scan uses -len(J) as the success threshold instead of brute force.
+    model = planted_ferromagnet(n, density, seed)
+    ground, _ = brute_force(model)
+    assert ground == -float(len(model.J))
 
 
 def test_planted_ferromagnet_reproducible():
