@@ -5,8 +5,10 @@ phase-marks states whose data register equals the key, and diffusion is the
 composite V . R0 . Vdag with R0 a sign flip of the all-zeros register.
 
 Searches run these operators as whole-array kernels (``SearchOperators``).
-The gate-level circuits of ``prepare_circuits`` are kept for circuit dumps,
-gate counts and as the reference the kernels are tested against.
+The gate-level circuits of ``prepare_circuits`` are kept for circuit dumps
+and as the reference the kernels and the closed-form gate counts of
+``circuit_lengths`` are tested against; the loading-cost scan counts from
+structure and builds no circuit.
 """
 
 from __future__ import annotations
@@ -80,18 +82,17 @@ def _data_flip_gates(layout: RegisterLayout, slot: int, bits: str,
     return gates
 
 
-def _check_capacity(layout: RegisterLayout, max_qubits: int) -> None:
-    if layout.total > max_qubits:
+def _check_capacity(layout: RegisterLayout) -> None:
+    if layout.total > sim.MAX_QUBITS:
         raise CapacityError(
-            f"register needs {layout.total} qubits, ceiling is {max_qubits}"
+            f"register needs {layout.total} qubits, ceiling is {sim.MAX_QUBITS}"
         )
 
 
-def build_state_prep(db: ReadWindowDatabase,
-                     max_qubits: int = sim.MAX_QUBITS) -> Circuit:
+def build_state_prep(db: ReadWindowDatabase) -> Circuit:
     """H layer on the index register, then one MCX per set data bit per slot."""
     layout = register_layout(db)
-    _check_capacity(layout, max_qubits)
+    _check_capacity(layout)
     gates = [Gate("H", layout.index_qubit(j)) for j in range(layout.index_qubits)]
     for slot in range(db.padded_size):
         padding = slot >= db.count
@@ -129,6 +130,25 @@ def build_diffusion(state_prep: Circuit) -> Circuit:
     # H, X, and multicontrolled X are involutions, so Vdag is V reversed.
     vdag = list(reversed(state_prep.gates))
     return Circuit(n, tuple(vdag + r0 + list(state_prep.gates)))
+
+
+def circuit_lengths(problem: SearchProblem) -> tuple[int, int, int]:
+    """Gate counts of (state prep, oracle, diffusion), without building them.
+
+    They equal ``len()`` of ``build_state_prep``, ``build_oracle`` and
+    ``build_diffusion`` at any register size: prep is one H per index qubit
+    plus one MCX per set data bit per slot, padding slots repeating window 0
+    plus the flag; the oracle X-conjugates each zero key bit and the flag
+    around one MCZ; diffusion is Vdag, R0 (an X layer on each side of one
+    MCZ) and V.
+    """
+    layout = problem.layout
+    db = problem.db
+    first = db.windows[0].count("1")
+    prep = (layout.index_qubits + sum(bits.count("1") for bits in db.windows)
+            + (db.padded_size - db.count) * (first + 1))
+    oracle = 2 * (problem.key_bits.count("0") + layout.flag_qubits) + 1
+    return prep, oracle, 2 * prep + 2 * layout.total + 1
 
 
 def prepare_circuits(problem: SearchProblem) -> PreparedDatabaseCircuit:
@@ -218,7 +238,7 @@ class SearchOperators:
 def build_operators(problem: SearchProblem) -> SearchOperators:
     """The fused operators of ``problem``; CapacityError past ``sim.MAX_QUBITS``."""
     layout = problem.layout
-    _check_capacity(layout, sim.MAX_QUBITS)
+    _check_capacity(layout)
     db = problem.db
     table = [int(bits, 2) for bits in db.windows]
     if db.has_padding:
@@ -343,11 +363,14 @@ def _loglog_exponent(xs: list[int], ys: list[int]) -> float:
 
 def loading_cost_scan(sizes: list[int], window_length: int,
                       seed: int) -> LoadingCostScan:
-    """Gate-count sweep over random genomes; circuits are built, never run.
+    """Gate-count sweep over random genomes, counted by ``circuit_lengths``.
 
-    Total cost assumes a unique key: prep + optimal-iterations x per-iteration
-    gates, which grows as N^(3/2) while prep alone grows as N.
+    No circuit is built or run. Total cost assumes a unique key: prep +
+    optimal-iterations x per-iteration gates, which grows as N^(3/2) while
+    prep alone grows as N. The exponents need two or more distinct sizes.
     """
+    if len(set(sizes)) < 2:
+        raise ValueError("loading scan needs at least two distinct sizes")
     rng = np.random.default_rng(seed)
     rows = []
     for n in sorted(sizes):
@@ -355,12 +378,8 @@ def loading_cost_scan(sizes: list[int], window_length: int,
         db = build_window_db(genome, window_length)
         start = int(rng.integers(0, db.count))
         key = genome[start : start + window_length]
-        problem = make_problem(db, key)
-        v = build_state_prep(db, max_qubits=10**9)  # count-only, never executed
-        oracle = build_oracle(problem)
-        diffusion = build_diffusion(v)
-        prep = len(v)
-        per_iter = len(oracle) + len(diffusion)
+        prep, oracle, diffusion = circuit_lengths(make_problem(db, key))
+        per_iter = oracle + diffusion
         k = optimal_iterations(db.count, 1)
         rows.append(LoadingCostRow(n, prep, per_iter, prep + k * per_iter))
     sizes_sorted = [r.genome_length for r in rows]

@@ -106,11 +106,6 @@ class StateVector:
         return StateVector(self.num_qubits, self.amplitudes.copy())
 
 
-@dataclass
-class MeasurementDistribution:
-    probabilities: dict[str, float]
-
-
 def init_state(num_qubits: int, max_qubits: int = MAX_QUBITS) -> StateVector:
     if not 1 <= num_qubits <= max_qubits:
         raise CapacityError(
@@ -213,12 +208,10 @@ def run_circuit(circuit: Circuit, state: StateVector) -> StateVector:
     return state
 
 
-def probabilities(state: StateVector) -> MeasurementDistribution:
+def probabilities(state: StateVector) -> dict[str, float]:
     p = np.abs(state.amplitudes) ** 2
     n = state.num_qubits
-    return MeasurementDistribution(
-        {bitstring(i, n): float(p[i]) for i in range(p.size)}
-    )
+    return {bitstring(i, n): float(p[i]) for i in range(p.size)}
 
 
 def sample(state: StateVector, seed: int, shots: int) -> dict[str, int]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genoq import qubo, solvers
+from genoq import grover, qubo, solvers
 from genoq.cli import main
 
 
@@ -147,6 +147,66 @@ def test_loading_scan(capsys):
     assert code == 0
     assert "N,prep_gates,iter_gates,total_gates" in out
     assert "# prep_exponent=" in out
+
+
+@pytest.mark.parametrize("sizes", ["64", "64,64"])
+def test_loading_scan_needs_two_distinct_sizes(capsys, sizes):
+    code, out, err = run_cli(
+        ["loading-scan", "--sizes", sizes, "--seed", "2", "--no-timestamp"],
+        capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "genoq: error: loading scan needs at least two distinct sizes\n"
+
+
+# Recorded while the scan still built every circuit to count its gates.
+# Every row but 65 (window 2) and 135 (window 8) has padding slots, and
+# 700 bases at window 8 need 27 qubits, past the simulator's ceiling.
+LOADING_GOLDEN = {
+    2: ("50,65,200,300", "11", """\
+# command=loading-scan
+# version=0.1.0
+# param.seed=11
+# param.sizes=50,65,200,300
+# param.window=2
+N,prep_gates,iter_gates,total_gates
+50,130,288,1570
+65,126,282,1818
+200,552,1140,13092
+300,1454,2944,39726
+# prep_exponent=1.351101998094435
+# total_exponent=1.8013303339286784
+"""),
+    8: ("100,135,400,700", "12", """\
+# command=loading-scan
+# version=0.1.0
+# param.seed=12
+# param.sizes=100,135,400,700
+# param.window=8
+N,prep_gates,iter_gates,total_gates
+100,1049,2166,16211
+135,1093,2256,19141
+400,4253,8584,133013
+700,8633,17340,355433
+# prep_exponent=1.1327566022872593
+# total_exponent=1.6439770872417989
+"""),
+}
+
+
+@pytest.mark.parametrize("window", [2, 8])
+def test_loading_scan_golden_output_without_circuits(capsys, monkeypatch, window):
+    def no_circuits(*args):
+        raise AssertionError("loading-scan must count gates without circuits")
+
+    for name in ("build_state_prep", "build_oracle", "build_diffusion"):
+        monkeypatch.setattr(grover, name, no_circuits)
+    sizes, seed, golden = LOADING_GOLDEN[window]
+    code, out, _ = run_cli(
+        ["loading-scan", "--sizes", sizes, "--window", str(window),
+         "--seed", seed, "--no-timestamp"], capsys)
+    assert code == 0
+    assert out == golden
 
 
 def test_qubo_build_maxcut_from_json(tmp_path, capsys):
@@ -344,6 +404,28 @@ def test_tts_scan_sa_small(capsys):
          "--seed", "4", "--no-timestamp"], capsys)
     assert code == 0
     assert "N,TTS_star,t_star,boundary_flag" in out
+
+
+def test_tts_scan_sa_rejects_fractional_t(capsys):
+    code, out, err = run_cli(
+        ["tts-scan", "--sizes", "8", "--t-grid", "1,2,2.5", "--runs", "4",
+         "--seed", "1", "--no-timestamp"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("genoq: error: SA run time t must be a whole number of "
+                   "sweeps >= 1, got 2.5\n")
+
+
+def test_tts_scan_stub_accepts_fractional_t(capsys):
+    code, out, _ = run_cli(
+        ["tts-scan", "--sizes", "8,9,10", "--t-grid", "1.5,2.5,2.9",
+         "--stub-tau", "2.0", "--seed", "1", "--no-timestamp"], capsys)
+    assert code == 0
+    rows = [ln.split(",") for ln in out.splitlines()
+            if ln[:1].isdigit() and ln.count(",") == 4]
+    assert [float(r[1]) for r in rows[:3]] == [1.5, 2.5, 2.9]
+    for _, t, _, reps, total in rows:
+        assert float(total) == pytest.approx(int(reps) * float(t))
 
 
 # Recorded before the SA kernel moved to plain lists and the brute force

@@ -322,6 +322,21 @@ def test_fused_operators_match_gate_circuits(case, seed):
                 == sim.sample(gates, seed=seed + k, shots=64))
 
 
+@settings(max_examples=60, deadline=None)
+@given(search_problems())
+@example(("ATGATGA", "ATG"))  # padded (flag qubit), repeated key
+@example(("TATGA", "C"))  # padded, absent key
+@example(("CCCCC", "GG"))  # unpadded, absent key
+@example(("ATGC", "G"))  # unpadded, unique key
+@example(("A", "A"))  # single window, no index qubits
+def test_circuit_lengths_match_built_circuits(case):
+    genome, key = case
+    problem = grover.make_problem(build_window_db(genome, len(key)), key)
+    v = grover.build_state_prep(problem.db)
+    assert grover.circuit_lengths(problem) == (
+        len(v), len(grover.build_oracle(problem)), len(grover.build_diffusion(v)))
+
+
 def test_fused_path_detects_norm_drift():
     operators = grover.build_operators(toy_problem())
     state = operators.prepare()

@@ -160,21 +160,21 @@ def test_mark_all_zeros_circuit():
 
 def test_probabilities_uniform_two_qubits():
     dist = probabilities(uniform_state(2))
-    assert set(dist.probabilities) == {"00", "01", "10", "11"}
-    for p in dist.probabilities.values():
+    assert set(dist) == {"00", "01", "10", "11"}
+    for p in dist.values():
         assert p == pytest.approx(0.25)
 
 
 def test_probabilities_deterministic():
     dist = probabilities(init_state(4))
-    assert dist.probabilities["0000"] == pytest.approx(1.0)
-    assert sum(dist.probabilities.values()) == pytest.approx(1.0, abs=1e-10)
+    assert dist["0000"] == pytest.approx(1.0)
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_probabilities_single_h():
     dist = probabilities(apply_gate(init_state(1), Gate("H", 0)))
-    assert dist.probabilities["0"] == pytest.approx(0.5)
-    assert dist.probabilities["1"] == pytest.approx(0.5)
+    assert dist["0"] == pytest.approx(0.5)
+    assert dist["1"] == pytest.approx(0.5)
 
 
 def test_sample_deterministic_state():

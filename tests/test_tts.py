@@ -120,6 +120,16 @@ def test_sa_estimator_deterministic():
     assert est(10.0) == est(10.0)
 
 
+@pytest.mark.parametrize("t", [1.5, 2.5, 0.5, 0.0, -2.0, math.inf, math.nan])
+def test_sa_estimator_rejects_non_whole_sweep_counts(t):
+    # TTS = R x t must count the sweeps that ran: int(2.5) would run 2.
+    model = planted_ferromagnet(8, density=0.5, seed=6)
+    est = sa_probability_estimator(model, -len(model.J), runs=4, seed=7)
+    with pytest.raises(ValueError, match="whole number of sweeps"):
+        est(t)
+    assert est(2.0) == est(2)
+
+
 def test_scaling_fit_recovers_exponential():
     sizes = [10, 14, 18, 22, 26]
     data = {n: 0.5 * 2 ** (0.3 * n) for n in sizes}
