@@ -101,6 +101,25 @@ def _emit_csv(args, body: str) -> None:
     _emit(args, "\n".join(_csv_header(args)) + "\n" + body)
 
 
+def _number(flag: str, text, cast):
+    """``cast(text)``; a value that ``cast`` rejects is a ParseError naming
+    the flag."""
+    try:
+        return cast(text)
+    except (ValueError, OverflowError):
+        raise ParseError(f"bad {flag} value {text!r}") from None
+
+
+def _numbers(flag: str, text, cast) -> list:
+    """The comma-separated values of ``flag``, each through ``_number``."""
+    return [_number(flag, item, cast) for item in str(text).split(",")]
+
+
+def _whole(text: str) -> int:
+    """A size written as an integer or in float notation (3e9)."""
+    return int(float(text))
+
+
 def _require_seed(args) -> None:
     if getattr(args, "seed", None) is None:
         raise ValueError("--seed is required (no silent entropy)")
@@ -184,7 +203,7 @@ def cmd_grover_search(args) -> int:
 
 def cmd_loading_scan(args) -> int:
     _require_seed(args)
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = _numbers("--sizes", args.sizes, int)
     scan = grover.loading_cost_scan(sizes, args.window, args.seed)
     body = scan.to_csv()
     body += f"# prep_exponent={_fmt(scan.prep_exponent)}\n"
@@ -203,15 +222,18 @@ def _parse_freq(text: str) -> float:
 
 
 def cmd_runtime(args) -> int:
-    hw = runtime.HardwareProfile(args.profile, _parse_freq(args.freq)) \
-        if args.freq else runtime.BUILTIN_PROFILES[args.profile]
-    n = int(float(args.N))
+    if args.freq:
+        hw = runtime.HardwareProfile(
+            args.profile, _number("--freq", args.freq, _parse_freq))
+    else:
+        hw = runtime.BUILTIN_PROFILES[args.profile]
+    n = _number("--N", args.N, _whole)
     depth = runtime.max_depth_per_call(n, args.budget, hw)
     estimate = runtime.quantum_runtime(n, depth, hw)
     classical = runtime.PowerLawModel(args.classical_seconds / n, 1.0)
     quantum = runtime.PowerLawModel(depth / hw.logical_gate_frequency, 0.5)
     lines = ["N,T_classical,T_quantum,crossover_flag"]
-    sweep_sizes = [int(float(s)) for s in args.sweep.split(",")] if args.sweep else [n]
+    sweep_sizes = _numbers("--sweep", args.sweep, _whole) if args.sweep else [n]
     for row in runtime.runtime_sweep(sweep_sizes, classical, quantum):
         lines.append(
             f"{row.problem_size},{_fmt(row.t_classical)},"
@@ -298,8 +320,8 @@ def cmd_qubo_solve(args) -> int:
 
 def cmd_tts_scan(args) -> int:
     _require_seed(args)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    t_grid = [float(t) for t in args.t_grid.split(",")]
+    sizes = _numbers("--sizes", args.sizes, int)
+    t_grid = _numbers("--t-grid", args.t_grid, float)
     rows = ["N,t,p_hat,R,TTS"]
     star_rows = ["N,TTS_star,t_star,boundary_flag"]
     tts_star: dict[float, float] = {}

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,37 @@ def test_runtime_sweep_rows(capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["loading-scan", "--sizes", "64,abc"], "--sizes", "abc"),
+    (["tts-scan", "--sizes", "8,x"], "--sizes", "x"),
+    (["tts-scan", "--t-grid", "1,x"], "--t-grid", "x"),
+    (["runtime", "--N", "1e3", "--sweep", "1e3,x"], "--sweep", "x"),
+    (["runtime", "--N", "1e3", "--sweep", "1e3,inf"], "--sweep", "inf"),
+    (["runtime", "--N", "x"], "--N", "x"),
+    (["runtime", "--N", "inf"], "--N", "inf"),
+    (["runtime", "--N", "1,2"], "--N", "1,2"),
+    (["runtime", "--N", "1e3", "--freq", "10xHz"], "--freq", "10xHz"),
+], ids=["loading-sizes", "tts-sizes", "tts-t-grid", "runtime-sweep",
+        "runtime-sweep-inf", "runtime-N", "runtime-N-inf", "runtime-N-list",
+        "runtime-freq"])
+def test_bad_number_in_flag_exits_three(capsys, argv, flag, value):
+    code, out, err = run_cli(argv + ["--seed", "1", "--no-timestamp"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == f"genoq: parse error: bad {flag} value {value!r}\n"
+
+
+def test_single_size_from_config(tmp_path, capsys):
+    # A config value that looks like a number reaches the command as one.
+    cfg = tmp_path / "cfg"
+    cfg.write_text("sizes=8\nt_grid=4\n")
+    code, out, _ = run_cli(
+        ["--config", str(cfg), "tts-scan", "--stub-tau", "1", "--seed", "1",
+         "--no-timestamp"], capsys)
+    assert code == 0
+    assert out.endswith("N,TTS_star,t_star,boundary_flag\n8,20,4,1\n")
+
+
 def test_runtime_infeasible_budget_exits_one(capsys):
     code, _, err = run_cli(
         ["runtime", "--N", "3e9", "--budget", "1e-6"], capsys)
@@ -249,6 +281,25 @@ def test_qubo_solve_brute(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["best_energy"] == pytest.approx(-2.0)
     assert len(payload["optimal_assignments"]) == 6
+
+
+# One seeded model per problem kind at 16-20 variables (assembly-path: 4
+# reads; knapsack: 11 items + 7 slack bits; max-cut: 20 nodes, 50 edges;
+# phasing: 19 sites, 45 signed edges; MIS: 20 nodes, 45 edges, 44 optima),
+# with the stdout recorded from the per-coupling enumeration that the block
+# evaluation replaced.
+BRUTE_GOLDEN = Path(__file__).parent / "data" / "brute_golden"
+
+
+@pytest.mark.parametrize("kind", ["assembly-path", "knapsack", "max-cut",
+                                  "phasing", "mis"])
+def test_qubo_solve_brute_golden_output(capsys, monkeypatch, kind):
+    monkeypatch.chdir(BRUTE_GOLDEN)
+    code, out, _ = run_cli(
+        ["qubo-solve", "--model", f"{kind}.qubo", "--solver", "brute",
+         "--no-timestamp"], capsys)
+    assert code == 0
+    assert out == (BRUTE_GOLDEN / f"{kind}.json").read_text()
 
 
 def test_qubo_build_out_then_solve(tmp_path, capsys):
@@ -374,6 +425,17 @@ def test_qubo_solve_any_model_bytes_exits_cleanly(data, solver):
         assert json.loads(out.getvalue())["solver"] == solver
     else:
         assert err.getvalue().count("\n") == 1
+
+
+def test_qubo_solve_brute_overflowing_model_exits_one(tmp_path, capsys):
+    # Every value is finite, but the energies' sums overflow a float.
+    model_file = tmp_path / "m.qubo"
+    model_file.write_text("QUBO 2 0 spin\n0 0 1e308\n1 1 1e308\n0 1 1e308\n")
+    code, out, err = run_cli(["qubo-solve", "--model", str(model_file)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("genoq: error: model energies overflow: the sum of "
+                   "|coefficients| is not finite\n")
 
 
 def test_qubo_solve_missing_model_exits_one(capsys):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genoq import qubo
 from genoq.errors import CapacityError, ShapeError
@@ -32,6 +34,7 @@ from genoq.qubo import (
     spins_to_bits,
     write_model,
 )
+from strategies import quadratic_models
 
 
 def naive_energy(model, assignment):
@@ -119,6 +122,38 @@ def test_spin_binary_round_trip_exact():
         for spins in all_assignments(n, (-1, 1)):
             assert energy(back, spins) == pytest.approx(
                 energy(ising, spins), abs=1e-9)
+
+
+def _other_convention(model):
+    """The model converted to the other convention, and the matching map of
+    assignments into it."""
+    if isinstance(model, BinaryModel):
+        return binary_to_ising(model), bits_to_spins
+    return ising_to_binary(model), spins_to_bits
+
+
+def _energy_pairs(model):
+    other, to_other = _other_convention(model)
+    alphabet = (-1, 1) if isinstance(model, IsingModel) else (0, 1)
+    for a in all_assignments(model.n, alphabet):
+        yield energy(model, a), energy(other, to_other(a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=quadratic_models(st.integers(-1000, 1000).map(float), max_n=8))
+def test_conversion_keeps_energy_exactly_on_integer_weights(model):
+    for e, e_other in _energy_pairs(model):
+        assert e == e_other
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=quadratic_models(st.floats(-1e3, 1e3), max_n=8))
+def test_conversion_keeps_energy_on_real_weights(model):
+    # Relative to the model's total coefficient size, since the energy itself
+    # can cancel to zero.
+    scale = abs(model.offset) + sum(map(abs, model.h)) + sum(map(abs, model.J.values()))
+    for e, e_other in _energy_pairs(model):
+        assert abs(e - e_other) <= 1e-9 * scale
 
 
 def test_bits_spins_helpers():
@@ -364,6 +399,15 @@ def test_write_read_round_trip_bit_exact():
         assert back.J == model.J
         for a, b in zip(back.h, model.h):
             assert a == b
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=quadratic_models(st.floats(allow_nan=False, allow_infinity=False),
+                              max_n=8))
+def test_write_read_round_trip_any_finite_floats(model):
+    back = read_model(write_model(model))
+    assert type(back) is type(model)
+    assert back == model
 
 
 def test_write_model_header():

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genoq.errors import CapacityError
 from genoq.qubo import BinaryModel, IsingModel, energy, maxcut_to_ising, WeightedGraph
 from genoq.solvers import (
+    BRUTE_FORCE_MAX_VARS,
     AnnealSchedule,
     brute_force,
     estimate_success_probability,
@@ -13,6 +16,7 @@ from genoq.solvers import (
     planted_ferromagnet,
     simulated_annealing,
 )
+from strategies import quadratic_models
 
 
 def chain_ferromagnet(n):
@@ -62,6 +66,60 @@ def test_brute_force_matches_enumeration():
 def test_brute_force_capacity():
     with pytest.raises(CapacityError):
         brute_force(IsingModel(26, (0.0,) * 26))
+
+
+def test_brute_force_at_capacity_stays_small():
+    # n = 25 splits into 13 low and 12 high variables; the planted state and
+    # its complement are the only optima of a connected planted glass.
+    model = planted_ferromagnet(BRUTE_FORCE_MAX_VARS, density=0.3, seed=3)
+    tracemalloc.start()
+    try:
+        best_e, best = brute_force(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert best_e == -float(len(model.J))
+    assert len(best) == 2 and best[1] == tuple(-s for s in best[0])
+    assert peak <= 32 * 2**20
+
+
+def reference_enumeration(model):
+    """``energy`` of every assignment in flat index order (bit i = variable i)."""
+    alphabet = (-1, 1) if isinstance(model, IsingModel) else (0, 1)
+    assignments = [tuple(alphabet[(m >> i) & 1] for i in range(model.n))
+                   for m in range(1 << model.n)]
+    return assignments, [energy(model, a) for a in assignments]
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=quadratic_models(st.integers(-8, 8).map(lambda k: k / 2), max_n=14))
+@example(model=IsingModel(1, (0.5,)))
+@example(model=BinaryModel(1, (-0.5,), {}, 1.0))
+def test_brute_force_equals_reference_on_exact_weights(model):
+    # Half-integer weights keep every partial sum exact, so the block
+    # evaluation must find exactly the reference optima, in index order.
+    assignments, energies = reference_enumeration(model)
+    ground = min(energies)
+    best_e, best = brute_force(model)
+    assert best_e == ground
+    assert best == [a for a, e in zip(assignments, energies) if e == ground]
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=quadratic_models(st.floats(-1.0, 1.0), max_n=14))
+@example(model=IsingModel(1, (0.1,), {}, 0.3))
+def test_brute_force_energy_is_exact_on_real_weights(model):
+    _, energies = reference_enumeration(model)
+    best_e, best = brute_force(model)
+    assert best_e == energy(model, best[0])
+    assert abs(min(energies) - best_e) <= 1e-12
+    for a in best:
+        assert abs(energy(model, a) - best_e) <= 1e-12
+
+
+def test_brute_force_rejects_overflowing_energies():
+    with pytest.raises(ValueError, match="overflow"):
+        brute_force(IsingModel(2, (1e308, 1e308), {(0, 1): 1e308}))
 
 
 def test_brute_force_binary_model():
