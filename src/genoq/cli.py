@@ -32,6 +32,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        """As argparse, but defaults (set from a config file) must be among
+        an option's ``choices`` too, as its flag values are."""
+        namespace, extras = super().parse_known_args(args, namespace)
+        for action in self._actions:
+            value = getattr(namespace, action.dest, None)
+            if (action.choices is not None and value is not None
+                    and value not in action.choices):
+                self.error(f"config value {action.dest}={value!r} is not one of "
+                           + ", ".join(map(repr, action.choices)))
+        return namespace, extras
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -51,15 +63,6 @@ def _load_config(path: str) -> dict:
             key, value = line.split("=", 1)
             config[key.strip().replace("-", "_")] = value.strip()
     return config
-
-
-def _coerce(value: str):
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            pass
-    return value
 
 
 def _meta(args, extra: dict | None = None) -> dict:
@@ -439,11 +442,11 @@ def build_parser(config: dict | None = None) -> _Parser:
                    help="use the closed-form stub p(t)=1-exp(-t/(tau*N))")
 
     if config:
+        # Defaults stay strings, so argparse converts them with each option's
+        # type exactly as it converts the flag.
         for action in sub.choices.values():
             known = {a.dest for a in action._actions}
-            action.set_defaults(
-                **{k: _coerce(v) for k, v in config.items() if k in known}
-            )
+            action.set_defaults(**{k: v for k, v in config.items() if k in known})
     return parser
 
 

@@ -9,26 +9,11 @@ from .errors import SequenceParseError
 
 BASES = "ATGC"
 BASE_BITS = {"A": "00", "T": "01", "G": "10", "C": "11"}
-BITS_BASE = {v: k for k, v in BASE_BITS.items()}
-
-
-def encode_base(base: str) -> str:
-    return BASE_BITS[base]
-
-
-def decode_bits(bits: str) -> str:
-    return BITS_BASE[bits]
 
 
 def encode_window(window: str) -> str:
     """2-bit-per-base encoding; leftmost base occupies the highest data bits."""
     return "".join(BASE_BITS[b] for b in window)
-
-
-def decode_window(bits: str) -> str:
-    if len(bits) % 2:
-        raise ValueError("encoded window must have even bit length")
-    return "".join(BITS_BASE[bits[i : i + 2]] for i in range(0, len(bits), 2))
 
 
 def parse_sequence(text: str | io.TextIOBase) -> str:
@@ -132,20 +117,15 @@ class RegisterLayout:
         return self.data_qubits + self.flag_qubits + j
 
 
-def layout_for(genome_length: int, window_length: int,
-               bits_per_symbol: int = 2) -> RegisterLayout:
-    """Register sizing from lengths alone (no database materialization).
-
-    ``bits_per_symbol=5`` gives the amino-acid sizing variant; only the DNA
-    (2-bit) layout has a search pipeline behind it.
-    """
+def layout_for(genome_length: int, window_length: int) -> RegisterLayout:
+    """Register sizing from lengths alone (no database materialization)."""
     count = genome_length - window_length + 1
     if count < 1:
         raise ValueError("window length exceeds genome length")
     padded = next_power_of_two(count)
     return RegisterLayout(
         index_qubits=padded.bit_length() - 1,
-        data_qubits=bits_per_symbol * window_length,
+        data_qubits=2 * window_length,
         flag_qubits=1 if padded > count else 0,
     )
 

@@ -4,11 +4,12 @@ State preparation V entangles each index with its window data, the oracle
 phase-marks states whose data register equals the key, and diffusion is the
 composite V . R0 . Vdag with R0 a sign flip of the all-zeros register.
 
-Searches run these operators as whole-array kernels (``SearchOperators``).
-The gate-level circuits of ``prepare_circuits`` are kept for circuit dumps
-and as the reference the kernels and the closed-form gate counts of
-``circuit_lengths`` are tested against; the loading-cost scan counts from
-structure and builds no circuit.
+Searches never leave the span of the slot states |j>|d_j>|f_j>, so they
+evolve one real amplitude per slot (``SlotSpace``). The gate-level circuits
+of ``prepare_circuits`` are kept for circuit dumps and as the reference the
+slot evolution and the closed-form gate counts of ``circuit_lengths`` are
+tested against; the loading-cost scan counts from structure and builds no
+circuit.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .genome import (
     encode_window,
     register_layout,
 )
-from .sim import Circuit, Gate, StateVector, init_state
+from .sim import Circuit, Gate, StateVector, bitstring
 
 
 @dataclass(frozen=True)
@@ -183,77 +184,57 @@ def _match_mask(problem: SearchProblem) -> np.ndarray:
     return mask
 
 
-def _marked_probability(state: StateVector, marked: np.ndarray) -> float:
-    return float((np.abs(state.amplitudes[marked]) ** 2).sum())
-
-
 def success_probability(problem: SearchProblem, state: StateVector) -> float:
-    return _marked_probability(state, _match_mask(problem))
+    """Probability that measuring the full-register ``state`` finds the key."""
+    return float((np.abs(state.amplitudes[_match_mask(problem)]) ** 2).sum())
 
 
 @dataclass(frozen=True)
-class SearchOperators:
-    """The search's operators for one problem, as whole-array kernels.
+class SlotSpace:
+    """The span of the search's slot states |j>|d_j>|f_j>, one per index j.
 
-    W is the Hadamard layer on the index register. L is the table load, the
-    basis permutation ``i -> i ^ table[i >> low]`` given as the gather array
-    ``load``; ``table[slot]`` is the slot's encoded window (window 0 plus the
-    flag bit for a padding slot) and ``low`` counts the data and flag qubits.
-    L is an involution, so V = L.W and Vdag = W.L. The oracle O flips the
-    sign of the ``marked`` basis states and R0 that of amplitude 0. Each
-    operator equals its gate-level circuit exactly, global phase included.
+    V|0> is uniform over the slots, the oracle flips the sign of the marked
+    ones and diffusion V.R0.Vdag = I - 2|psi0><psi0| keeps the span, so a
+    real vector of one amplitude per slot carries the whole search. Slot j
+    is the full-register basis state ``basis[j]``; ``marked`` holds the real
+    slots whose window equals the key.
     """
 
-    num_qubits: int
-    index_qubits: range
-    load: np.ndarray
+    basis: np.ndarray
     marked: np.ndarray
 
-    def prepare(self) -> StateVector:
-        """V|0>, norm-checked."""
-        state = init_state(self.num_qubits)
-        sim.apply_hadamards(state, self.index_qubits)
-        sim.apply_permutation(state, self.load)
-        sim.check_norm(state, "after state preparation")
-        return state
+    def prepare(self) -> np.ndarray:
+        """The slot amplitudes of V|0>, norm-checked."""
+        amps = np.full(self.basis.size, 1.0 / math.sqrt(self.basis.size))
+        sim.check_norm(amps, "after state preparation")
+        return amps
 
-    def iterate(self, state: StateVector, iterations: int) -> StateVector:
-        """``iterations`` rounds of O then V.R0.Vdag, each norm-checked."""
+    def iterate(self, amps: np.ndarray, iterations: int) -> np.ndarray:
+        """``iterations`` rounds of O then V.R0.Vdag in place, each norm-checked."""
         for k in range(iterations):
-            sim.flip_signs(state, self.marked)
-            sim.apply_permutation(state, self.load)
-            # Vdag's Hadamards run in reverse order, as in the reversed
-            # circuit, so the kernels match it bit for bit.
-            sim.apply_hadamards(state, reversed(self.index_qubits))
-            sim.flip_signs(state, 0)
-            sim.apply_hadamards(state, self.index_qubits)
-            sim.apply_permutation(state, self.load)
-            sim.check_norm(state, f"after iteration {k + 1}")
-        return state
+            amps[self.marked] *= -1
+            amps -= 2 * amps.sum() / amps.size
+            sim.check_norm(amps, f"after iteration {k + 1}")
+        return amps
 
-    def evolve(self, iterations: int) -> StateVector:
+    def evolve(self, iterations: int) -> np.ndarray:
         return self.iterate(self.prepare(), iterations)
 
 
-def build_operators(problem: SearchProblem) -> SearchOperators:
-    """The fused operators of ``problem``; CapacityError past ``sim.MAX_QUBITS``."""
+def build_slot_space(problem: SearchProblem) -> SlotSpace:
+    """The slot space of ``problem``; CapacityError past ``sim.MAX_QUBITS``."""
     layout = problem.layout
     _check_capacity(layout)
     db = problem.db
-    table = [int(bits, 2) for bits in db.windows]
+    windows = [int(bits, 2) for bits in db.windows]
     if db.has_padding:
-        padding = int(db.windows[0], 2) | (1 << layout.flag_qubit)
-        table += [padding] * (db.padded_size - db.count)
+        # Padding slots load window 0 and set the flag, so they never match.
+        windows += [windows[0] | 1 << layout.flag_qubit] * (db.padded_size - db.count)
+    table = np.array(windows, dtype=np.int64)
     low = layout.data_qubits + layout.flag_qubits
-    # Row ``slot`` holds the low bits XOR table[slot], then the slot bits.
-    load = np.arange(1 << low, dtype=np.intp) ^ np.array(table, dtype=np.intp)[:, None]
-    load |= np.arange(db.padded_size, dtype=np.intp)[:, None] << low
-    return SearchOperators(
-        num_qubits=layout.total,
-        index_qubits=range(low, layout.total),
-        load=load.ravel(),
-        marked=np.flatnonzero(_match_mask(problem)),
-    )
+    basis = (np.arange(db.padded_size, dtype=np.int64) << low) | table
+    key = int(problem.key_bits, 2)
+    return SlotSpace(basis=basis, marked=np.flatnonzero(table[:db.count] == key))
 
 
 def decode_outcome(problem: SearchProblem, bits: str) -> tuple[int, str]:
@@ -266,30 +247,26 @@ def decode_outcome(problem: SearchProblem, bits: str) -> tuple[int, str]:
 
 
 def run_search(problem: SearchProblem, iterations: int, shots: int,
-               seed: int, operators: SearchOperators | None = None) -> GroverRun:
+               seed: int) -> GroverRun:
     """Evolve V|0> through ``iterations`` Grover iterations, then sample.
 
-    ``operators`` must come from ``build_operators(problem)``; pass them to
-    reuse one build across runs of the same problem.
+    Shots are drawn over the slots exactly as ``sim.sample`` draws them over
+    the full register, where every other basis state has amplitude zero.
     """
-    if operators is None:
-        operators = build_operators(problem)
-    state = operators.evolve(iterations)
-    p_exact = _marked_probability(state, operators.marked)
-    histogram = sim.sample(state, seed=seed, shots=shots)
-    key_bits = problem.key_bits
-    matched = set()
-    for bits in histogram:
-        index, data = decode_outcome(problem, bits)
-        if data == key_bits and index < problem.db.count:
-            matched.add(index)
+    space = build_slot_space(problem)
+    amps = space.evolve(iterations)
+    p = amps ** 2
+    counts = sim.draw_counts(p, seed, shots)
+    n = problem.layout.total
+    histogram = {bitstring(int(space.basis[j]), n): c for j, c in counts}
+    matched = {j for j, _ in counts} & set(space.marked.tolist())
     matches = [
         {"index": i, "window": problem.db.window_string(i)}
         for i in sorted(matched)
     ]
     return GroverRun(
         iterations=iterations,
-        p_exact=p_exact,
+        p_exact=float(p[space.marked].sum()),
         histogram=histogram,
         matched_indices=matched,
         matches=matches,
@@ -318,11 +295,9 @@ def search_unknown_count(problem: SearchProblem, seed: int,
     """
     key_bits = problem.key_bits
     budget = 2 * math.ceil(math.sqrt(problem.db.padded_size)) + 1
-    operators = build_operators(problem)
     k = 1
     while k <= budget:
-        run = run_search(problem, iterations=k, shots=shots, seed=seed + k,
-                         operators=operators)
+        run = run_search(problem, iterations=k, shots=shots, seed=seed + k)
         top = max(run.histogram, key=run.histogram.get)
         index, data = decode_outcome(problem, top)
         if data == key_bits and index < problem.db.count:

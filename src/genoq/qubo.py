@@ -104,10 +104,6 @@ def spins_to_bits(spins: Sequence[int]) -> list[int]:
     return [(s + 1) // 2 for s in spins]
 
 
-def bits_to_spins(bits: Sequence[int]) -> list[int]:
-    return [2 * x - 1 for x in bits]
-
-
 # --------------------------------------------------------------------------
 # Native instances
 
@@ -363,34 +359,6 @@ def mis_to_qubo(g: WeightedGraph) -> Encoding:
 
 def is_independent_set(g: WeightedGraph, vertices: frozenset[int]) -> bool:
     return all(not (i in vertices and j in vertices) for (i, j) in g.edges)
-
-
-# --------------------------------------------------------------------------
-# Embedding overhead estimate
-
-
-@dataclass(frozen=True)
-class EmbeddingEstimate:
-    logical_variables: int
-    physical_variables: int
-    connectivity: str
-    model_note: str
-
-
-def embedding_overhead(model: Model, connectivity: str) -> EmbeddingEstimate:
-    """Physical-variable estimate; the grid case is a clique-embedding chain
-    model (chains of length ~n/4 + 1), not a real embedder."""
-    n = model.n
-    if connectivity == "all-to-all":
-        return EmbeddingEstimate(n, n, connectivity, "native fit, no chains")
-    if connectivity == "grid":
-        chain = 1 if n <= 2 else math.ceil(n / 4) + 1
-        return EmbeddingEstimate(
-            n, n * chain, connectivity,
-            f"clique-embedding chain model: n * (ceil(n/4) + 1) with "
-            f"chain length {chain}",
-        )
-    raise ValueError(f"unknown connectivity {connectivity!r}")
 
 
 # --------------------------------------------------------------------------

@@ -14,8 +14,10 @@ class HardwareProfile:
     logical_gate_frequency: float  # Hz
 
     def __post_init__(self):
-        if self.logical_gate_frequency <= 0:
-            raise ValueError("gate frequency must be positive")
+        if not 0 < self.logical_gate_frequency < math.inf:
+            raise ValueError(
+                f"gate frequency must be positive and finite, "
+                f"got {self.logical_gate_frequency!r}")
 
 
 SURFACE_10KHZ = HardwareProfile("surface-10kHz", 1e4)
@@ -56,10 +58,14 @@ def quantum_runtime(problem_size: int, depth_per_call: int,
 def max_depth_per_call(problem_size: int, budget_seconds: float,
                        hw: HardwareProfile) -> int:
     """Deepest per-call circuit keeping total runtime within the budget."""
-    if budget_seconds <= 0:
-        raise ValueError("budget must be positive")
+    if not 0 < budget_seconds < math.inf:
+        raise ValueError(f"budget must be positive and finite, got {budget_seconds!r}")
     calls = quantum_runtime(problem_size, 1, hw).calls
-    depth = math.floor(budget_seconds / calls * hw.logical_gate_frequency)
+    depth = budget_seconds / calls * hw.logical_gate_frequency
+    if depth == math.inf:
+        raise ValueError(f"depth per call overflows: {budget_seconds!r}s "
+                         f"at {hw.logical_gate_frequency!r} Hz")
+    depth = math.floor(depth)
     if depth < 1:
         raise InfeasibleBudgetError(
             f"budget {budget_seconds}s cannot be met even at depth 1 "

@@ -1,9 +1,8 @@
 """Dense statevector simulator with natively applied multicontrolled gates.
 
-Besides gate-by-gate execution (``apply_gate``, ``run_circuit``), it offers
-whole-array kernels for structured operators: a Hadamard layer as one
-butterfly per qubit, a basis permutation as one gather, and sign flips on a
-set of basis states.
+Circuits run gate by gate (``apply_gate``, ``run_circuit``); measurement is
+emulated by a seeded draw (``sample``), which ``draw_counts`` shares with
+searches that evolve only a subspace of the register.
 
 Qubit 0 is the rightmost bit of a printed bitstring (little-endian), so
 basis index ``i`` has qubit ``k`` equal to ``(i >> k) & 1``.
@@ -154,48 +153,15 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         b = amps[i1].copy()
         amps[i0] = (a + b) * _INV_SQRT2
         amps[i1] = (a - b) * _INV_SQRT2
-    check_norm(state, f"after {gate.label} on qubit {gate.target}")
+    check_norm(amps, f"after {gate.label} on qubit {gate.target}")
     return state
 
 
-def check_norm(state: StateVector, where: str) -> None:
+def check_norm(amplitudes: np.ndarray, where: str) -> None:
     """Raise NormalizationError when the squared norm is off 1 by more than NORM_TOL."""
-    nrm = np.vdot(state.amplitudes, state.amplitudes).real
+    nrm = np.vdot(amplitudes, amplitudes).real
     if abs(nrm - 1.0) > NORM_TOL:
         raise NormalizationError(f"norm drifted to {nrm!r} {where}")
-
-
-def apply_hadamards(state: StateVector, qubits) -> StateVector:
-    """H on each of ``qubits`` in turn, in place, one reshaped butterfly per qubit.
-
-    The arithmetic is apply_gate's H branch, so the result equals a
-    gate-by-gate H layer over the same qubits in the same order bit for bit.
-    """
-    amps = state.amplitudes
-    for q in qubits:
-        pairs = amps.reshape(-1, 2, 1 << q)
-        a, b = pairs[:, 0], pairs[:, 1]
-        total = a + b
-        np.subtract(a, b, out=b)
-        np.multiply(total, _INV_SQRT2, out=a)
-        b *= _INV_SQRT2
-    return state
-
-
-def apply_permutation(state: StateVector, gather: np.ndarray) -> StateVector:
-    """Basis permutation: amplitude ``i`` becomes the old amplitude ``gather[i]``.
-
-    Replaces ``state.amplitudes`` with a new array.
-    """
-    state.amplitudes = state.amplitudes[gather]
-    return state
-
-
-def flip_signs(state: StateVector, indices) -> StateVector:
-    """Phase -1 on the basis states ``indices``, in place."""
-    amps = state.amplitudes
-    amps[indices] = -amps[indices]
-    return state
 
 
 def run_circuit(circuit: Circuit, state: StateVector) -> StateVector:
@@ -208,39 +174,23 @@ def run_circuit(circuit: Circuit, state: StateVector) -> StateVector:
     return state
 
 
-def probabilities(state: StateVector) -> dict[str, float]:
-    p = np.abs(state.amplitudes) ** 2
-    n = state.num_qubits
-    return {bitstring(i, n): float(p[i]) for i in range(p.size)}
+def draw_counts(p: np.ndarray, seed: int, shots: int) -> list[tuple[int, int]]:
+    """``shots`` seeded draws of outcome ``i`` with weight ``p[i]``, as sorted
+    (outcome, count) pairs.
+
+    Outcomes of weight zero are never drawn and do not move the others, so
+    dropping them from ``p`` renumbers the outcomes but, up to rounding in
+    the normalisation, draws the same ones.
+    """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    rng = np.random.default_rng(seed)
+    outcomes = rng.choice(p.size, size=shots, p=p / p.sum())
+    return sorted(Counter(outcomes.tolist()).items())
 
 
 def sample(state: StateVector, seed: int, shots: int) -> dict[str, int]:
     """Seeded measurement emulation; counts sum to ``shots``."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     p = np.abs(state.amplitudes) ** 2
-    p /= p.sum()
-    rng = np.random.default_rng(seed)
-    outcomes = rng.choice(p.size, size=shots, p=p)
-    counts = Counter(outcomes.tolist())
     n = state.num_qubits
-    return {bitstring(i, n): c for i, c in sorted(counts.items())}
-
-
-def gate_count(circuit: Circuit) -> dict[str, int]:
-    """Tally by kind; multicontrolled gates count once (prefix ``C``)."""
-    counts: Counter[str] = Counter(g.label for g in circuit.gates)
-    return dict(counts)
-
-
-def compiled_gate_estimate(circuit: Circuit) -> int:
-    """Estimated elementary-gate count under a linear-in-controls cost model.
-
-    A gate with c >= 1 controls is modeled as 2c - 1 elementary gates; this
-    is a cost model, not a compilation.
-    """
-    total = 0
-    for g in circuit.gates:
-        c = len(g.controls)
-        total += max(1, 2 * c - 1)
-    return total
+    return {bitstring(i, n): c for i, c in draw_counts(p, seed, shots)}

@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import CapacityError
@@ -25,21 +22,17 @@ class AnnealSchedule:
     sweeps: int
     beta_start: float = DEFAULT_BETA_START
     beta_end: float = DEFAULT_BETA_END
-    interpolation: str = "geometric"
 
     def __post_init__(self):
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
         if not 0 < self.beta_start <= self.beta_end:
             raise ValueError("need 0 < beta_start <= beta_end")
-        if self.interpolation not in ("linear", "geometric"):
-            raise ValueError(f"unknown interpolation {self.interpolation!r}")
 
     def betas(self) -> np.ndarray:
+        """Geometric ladder from beta_start to beta_end, one beta per sweep."""
         if self.sweeps == 1:
             return np.array([self.beta_start])
-        if self.interpolation == "linear":
-            return np.linspace(self.beta_start, self.beta_end, self.sweeps)
         return np.geomspace(self.beta_start, self.beta_end, self.sweeps)
 
 
@@ -49,7 +42,6 @@ class SolverRun:
     best_energy: float
     trace: list[float]  # best-so-far per sweep, non-increasing
     seed: object
-    wall_seconds: float
 
 
 @dataclass
@@ -130,14 +122,6 @@ def _neighbor_lists(model: Model) -> list[list[tuple[int, float]]]:
     return nbrs
 
 
-def flip_delta(model: Model, assignment: Sequence[int], i: int) -> float:
-    """Energy change of flipping variable i, via the local field."""
-    f = model.h[i] + sum(w * assignment[j] for j, w in _neighbor_lists(model)[i])
-    old = assignment[i]
-    new = -old if isinstance(model, IsingModel) else 1 - old
-    return (new - old) * f
-
-
 def _anneal(model: Model, nbrs: list[list[tuple[int, float]]],
             betas: list[float], seed) -> tuple[list[int], list[float]]:
     """One Metropolis run with incremental local-field dE, on plain Python lists
@@ -177,12 +161,10 @@ def _anneal(model: Model, nbrs: list[list[tuple[int, float]]],
 def simulated_annealing(model: Model, schedule: AnnealSchedule,
                         seed) -> SolverRun:
     """Metropolis single-variable updates with incremental local-field dE."""
-    t0 = time.perf_counter()
     best, trace = _anneal(model, _neighbor_lists(model),
                           schedule.betas().tolist(), seed)
     best = tuple(best)
-    return SolverRun(best, energy(model, best), trace, seed,
-                     time.perf_counter() - t0)
+    return SolverRun(best, energy(model, best), trace, seed)
 
 
 def estimate_success_probability(model: Model, schedule: AnnealSchedule,

@@ -109,6 +109,20 @@ def test_grover_search_capacity_exits_two(tmp_path, capsys):
     assert "qubits" in err
 
 
+@pytest.mark.parametrize("max_qubits, ceiling", [("20", "20"), ("64", "26")])
+def test_grover_search_over_ceiling_exits_two(tmp_path, capsys, max_qubits, ceiling):
+    # 16 windows of 12 bases: 4 index + 24 data qubits.
+    genome = tmp_path / "g.txt"
+    genome.write_text("ATGC" * 6 + "ATG\n")
+    code, out, err = run_cli(
+        ["grover-search", "--genome", str(genome), "--key", "ATGCATGCATGC",
+         "--seed", "1", "--max-qubits", max_qubits], capsys)
+    assert code == 2
+    assert out == ""
+    assert "28 qubits" in err
+    assert err.endswith(f"ceiling is {ceiling}\n") and err.count("\n") == 1
+
+
 def test_runtime_surface_numbers(capsys):
     code, out, _ = run_cli(
         ["runtime", "--N", "3e9", "--no-timestamp"], capsys)
@@ -156,7 +170,7 @@ def test_bad_number_in_flag_exits_three(capsys, argv, flag, value):
 
 
 def test_single_size_from_config(tmp_path, capsys):
-    # A config value that looks like a number reaches the command as one.
+    # A one-number config value reaches a list flag as the flag's own text.
     cfg = tmp_path / "cfg"
     cfg.write_text("sizes=8\nt_grid=4\n")
     code, out, _ = run_cli(
@@ -579,6 +593,47 @@ def test_flag_overrides_config(tmp_path, capsys):
          "--no-timestamp"], capsys)
     assert code == 0
     assert sum(json.loads(out)["histogram"].values()) == 64
+
+
+@pytest.mark.parametrize("line, argv", [
+    ("profile=foo", ["runtime", "--N", "3e9"]),
+    ("solver=magic", ["qubo-solve", "--model", "unread.qubo", "--seed", "1"]),
+], ids=["runtime-profile", "qubo-solve-solver"])
+def test_config_value_outside_choices_exits_three(tmp_path, capsys, line, argv):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(["--config", str(cfg)] + argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"config value {line.split('=')[0]}=" in err
+
+
+def test_config_value_gets_the_flag_type(tmp_path, capsys):
+    # A bare number reaches --freq as the string the flag would give.
+    cfg = tmp_path / "cfg"
+    cfg.write_text("freq=10000\n")
+    code, out, _ = run_cli(
+        ["--config", str(cfg), "runtime", "--N", "3e9", "--no-timestamp"], capsys)
+    assert code == 0
+    assert "# max_depth_per_call=10\n" in out
+    cfg.write_text("shots=2.5\n")
+    code, _, err = run_cli(
+        ["--config", str(cfg), "grover-demo", "--seed", "1"], capsys)
+    assert code == 3
+    assert "invalid int value: '2.5'" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--budget", "inf"), ("--budget", "nan"), ("--freq", "inf"), ("--freq", "nan"),
+])
+def test_runtime_non_finite_value_exits_one(capsys, flag, value):
+    code, out, err = run_cli(["runtime", "--N", "3e9", flag, value], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "must be positive and finite" in err
+    assert "Traceback" not in err
 
 
 def test_bad_config_exits_three(tmp_path, capsys):

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 from genoq.errors import SequenceParseError
 from genoq.genome import (
     build_window_db,
-    decode_window,
-    encode_base,
     encode_window,
     layout_for,
     next_power_of_two,
@@ -18,15 +16,8 @@ genomes = st.text(alphabet="ATGC", min_size=1, max_size=64)
 
 
 def test_base_codes():
-    assert encode_base("A") == "00"
-    assert encode_base("T") == "01"
-    assert encode_base("G") == "10"
-    assert encode_base("C") == "11"
-
-
-def test_base_round_trip():
-    for b in "ATGC":
-        assert decode_window(encode_base(b)) == b
+    assert [encode_window(b) for b in "ATGC"] == ["00", "01", "10", "11"]
+    assert encode_window("GA") == "1000"  # leftmost base in the high bits
 
 
 def test_parse_fasta_header():
@@ -55,7 +46,7 @@ def test_parse_empty():
 def test_window_db_toy():
     db = build_window_db("TATG", 1)
     assert db.count == 4
-    assert [decode_window(w) for w in db.windows] == ["T", "A", "T", "G"]
+    assert db.windows == ("01", "00", "01", "10")
 
 
 def test_window_db_single_window():
@@ -92,7 +83,7 @@ def test_window_count_and_round_trip(genome, data):
     db = build_window_db(genome, m)
     assert db.count == len(genome) - m + 1
     for i, bits in enumerate(db.windows):
-        assert decode_window(bits) == genome[i : i + m]
+        assert bits == encode_window(genome[i : i + m])
     assert db.padded_size == next_power_of_two(db.count)
     assert db.padded_size >= db.count
     assert db.padded_size < 2 * max(1, db.count)
@@ -122,11 +113,6 @@ def test_layout_flag_only_with_padding():
     assert layout.flag_qubits == 1
     assert layout.flag_qubit == 2
     assert layout.total == 3 + 1 + 2
-
-
-def test_layout_amino_acid_variant():
-    layout = layout_for(1024, 10, bits_per_symbol=5)
-    assert layout.data_qubits == 50
 
 
 def test_index_qubit_positions():

@@ -1,6 +1,6 @@
-import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -74,8 +74,8 @@ def test_state_prep_capacity():
     db = build_window_db("ATGC" * 100, 20)
     with pytest.raises(CapacityError):
         grover.build_state_prep(db)
-    with pytest.raises(CapacityError):
-        grover.build_operators(grover.make_problem(db, "ATGC" * 5))
+    with pytest.raises(CapacityError, match="qubits, ceiling is 26"):
+        grover.build_slot_space(grover.make_problem(db, "ATGC" * 5))
 
 
 def test_oracle_marks_only_key():
@@ -279,10 +279,8 @@ def test_loading_cost_all_a_genome_constant_prep():
 
 def test_state_prep_toy_gate_totals():
     # {T,A,T,G} loads with 3 multicontrolled-X and 2 H gates.
-    from genoq.sim import gate_count
-
-    counts = gate_count(grover.build_state_prep(build_window_db("TATG", 1)))
-    assert counts == {"H": 2, "CX": 3}
+    v = grover.build_state_prep(build_window_db("TATG", 1))
+    assert Counter(g.label for g in v.gates) == {"H": 2, "CX": 3}
 
 
 @st.composite
@@ -304,22 +302,27 @@ def search_problems(draw):
 @example(("TATGA", "C"), 2)  # padded, absent key
 @example(("ATGC", "G"), 3)  # unpadded, unique key
 @example(("A", "A"), 4)  # single window, no index qubits
-def test_fused_operators_match_gate_circuits(case, seed):
+def test_slot_evolution_matches_gate_circuits(case, seed):
     genome, key = case
     problem = grover.make_problem(build_window_db(genome, len(key)), key)
     circuits = grover.prepare_circuits(problem)
-    operators = grover.build_operators(problem)
-    fused = operators.prepare()
+    space = grover.build_slot_space(problem)
+    amps = space.prepare()
     gates = init_state(problem.layout.total)
     run_circuit(circuits.state_prep, gates)
     for k in range(5):
         if k:
-            operators.iterate(fused, 1)
+            space.iterate(amps, 1)
             run_circuit(circuits.oracle, gates)
             run_circuit(circuits.diffusion, gates)
-        assert np.max(np.abs(fused.amplitudes - gates.amplitudes)) <= 1e-12
-        assert (sim.sample(fused, seed=seed + k, shots=64)
-                == sim.sample(gates, seed=seed + k, shots=64))
+        # Embedded in the full register, with zeros off the slot span.
+        embedded = np.zeros_like(gates.amplitudes)
+        embedded[space.basis] = amps
+        assert np.max(np.abs(embedded - gates.amplitudes)) <= 1e-12
+        run = grover.run_search(problem, iterations=k, shots=64, seed=seed + k)
+        assert run.histogram == sim.sample(gates, seed=seed + k, shots=64)
+        assert run.p_exact == pytest.approx(
+            grover.success_probability(problem, gates), abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -337,37 +340,26 @@ def test_circuit_lengths_match_built_circuits(case):
         len(v), len(grover.build_oracle(problem)), len(grover.build_diffusion(v)))
 
 
-def test_fused_path_detects_norm_drift():
-    operators = grover.build_operators(toy_problem())
-    state = operators.prepare()
-    state.amplitudes *= 1.01
+def test_slot_evolution_detects_norm_drift():
+    space = grover.build_slot_space(toy_problem())
+    amps = space.prepare()
+    amps *= 1.01
     with pytest.raises(NormalizationError, match="after iteration 1"):
-        operators.iterate(state, 1)
-    # A load that is no permutation makes L non-unitary.
-    broken = dataclasses.replace(operators, load=np.zeros_like(operators.load))
-    with pytest.raises(NormalizationError, match="after state preparation"):
-        broken.prepare()
+        space.iterate(amps, 1)
 
 
-def test_search_unknown_count_builds_operators_once(monkeypatch):
-    built = []
-    build = grover.build_operators
-    monkeypatch.setattr(grover, "build_operators",
-                        lambda problem: built.append(problem) or build(problem))
-    problem = grover.make_problem(build_window_db("AAAAAAAA", 2), "CC")
-    assert grover.search_unknown_count(problem, seed=4) is None
-    assert built == [problem]
-
-
-def test_fused_search_memory_is_a_few_statevectors():
-    # The state, the load gather array and per-call scratch: nothing cached.
-    genome = "".join(np.random.default_rng(8).choice(list("ATGC"), size=300))
-    problem = grover.make_problem(build_window_db(genome, 3), genome[:3])
+@pytest.mark.parametrize("genome, m, qubits", [
+    ("".join(np.random.default_rng(8).choice(list("ATGC"), size=300)), 3, 16),
+    ("ATGCATGCATGCATG", 8, 19),  # the bench's widest-data search shape
+], ids=["16-qubits", "19-qubits-wide-data"])
+def test_slot_search_memory_ignores_data_width(genome, m, qubits):
+    # The evolution holds a few P-vectors; a 2^n statevector never exists.
+    problem = grover.make_problem(build_window_db(genome, m), genome[:m])
     tracemalloc.start()
     try:
-        state = grover.build_operators(problem).evolve(3)
+        grover.build_slot_space(problem).evolve(3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert problem.layout.total == 16
-    assert peak <= 4 * state.amplitudes.nbytes
+    assert problem.layout.total == qubits
+    assert peak <= (16 << qubits) // 32

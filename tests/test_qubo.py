@@ -18,9 +18,7 @@ from genoq.qubo import (
     best_assembly_path,
     best_knapsack,
     binary_to_ising,
-    bits_to_spins,
     cut_weight,
-    embedding_overhead,
     energy,
     is_independent_set,
     ising_to_binary,
@@ -128,7 +126,7 @@ def _other_convention(model):
     """The model converted to the other convention, and the matching map of
     assignments into it."""
     if isinstance(model, BinaryModel):
-        return binary_to_ising(model), bits_to_spins
+        return binary_to_ising(model), lambda bits: [2 * x - 1 for x in bits]
     return ising_to_binary(model), spins_to_bits
 
 
@@ -158,7 +156,6 @@ def test_conversion_keeps_energy_on_real_weights(model):
 
 def test_bits_spins_helpers():
     assert spins_to_bits([-1, 1, -1]) == [0, 1, 0]
-    assert bits_to_spins([0, 1, 1]) == [-1, 1, 1]
 
 
 def test_maxcut_triangle():
@@ -364,24 +361,6 @@ def test_mis_sparsity_matches_edges():
     g = WeightedGraph(5, {(0, 3): 1.0, (1, 4): 1.0})
     enc = mis_to_qubo(g)
     assert set(enc.model.J) == {(0, 3), (1, 4)}
-
-
-def test_embedding_all_to_all():
-    est = embedding_overhead(IsingModel(10, (0.0,) * 10), "all-to-all")
-    assert est.physical_variables == 10
-
-
-def test_embedding_grid():
-    est = embedding_overhead(IsingModel(16, (0.0,) * 16), "grid")
-    assert est.physical_variables == 16 * 5  # chains of length ceil(16/4)+1
-    assert "chain" in est.model_note
-    small = embedding_overhead(IsingModel(2, (0.0, 0.0)), "grid")
-    assert small.physical_variables == 2
-
-
-def test_embedding_unknown_connectivity():
-    with pytest.raises(ValueError):
-        embedding_overhead(IsingModel(2, (0.0, 0.0)), "hexagonal")
 
 
 def test_write_read_round_trip_bit_exact():

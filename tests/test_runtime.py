@@ -71,6 +71,19 @@ def test_bad_inputs():
         HardwareProfile("zero", 0.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_inputs_rejected(value):
+    with pytest.raises(ValueError, match="finite"):
+        HardwareProfile("bad", value)
+    with pytest.raises(ValueError, match="finite"):
+        max_depth_per_call(GENOME, value, SURFACE_10KHZ)
+
+
+def test_depth_overflow_rejected():
+    with pytest.raises(ValueError, match="overflows"):
+        max_depth_per_call(4, 1e300, HardwareProfile("fast", 1e300))
+
+
 def test_builtin_profiles():
     assert BUILTIN_PROFILES["surface-10kHz"].logical_gate_frequency == 1e4
     assert BUILTIN_PROFILES["optimistic-10MHz"].logical_gate_frequency == 1e7
