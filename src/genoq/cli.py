@@ -7,6 +7,7 @@ Flags override values from a flat key=value config file (--config).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -63,6 +64,20 @@ def _load_config(path: str) -> dict:
             key, value = line.split("=", 1)
             config[key.strip().replace("-", "_")] = value.strip()
     return config
+
+
+_BOOLEANS = {"true": True, "1": True, "yes": True,
+             "false": False, "0": False, "no": False}
+
+
+def _config_bool(key: str, text: str) -> bool:
+    """A config value for an on/off flag; anything but the _BOOLEANS words
+    (any case) is a ValueError."""
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ValueError(f"config value {key}={text!r} is not one of "
+                         + "/".join(_BOOLEANS)) from None
 
 
 def _meta(args, extra: dict | None = None) -> dict:
@@ -273,6 +288,9 @@ def _build_encoding(args) -> qubo.Encoding:
         else:
             if args.n is None:
                 raise ValueError("assembly/tsp builds need --input or --n")
+            if args.n > qubo.ASSEMBLY_NODE_CAP:
+                raise CapacityError(f"{args.n} reads exceeds the "
+                                    f"{qubo.ASSEMBLY_NODE_CAP}-read cap")
             _require_seed(args)
             import numpy as np
 
@@ -443,11 +461,22 @@ def build_parser(config: dict | None = None) -> _Parser:
 
     if config:
         # Defaults stay strings, so argparse converts them with each option's
-        # type exactly as it converts the flag.
+        # type exactly as it converts the flag; on/off flags take no type, so
+        # their words are read here.
         for action in sub.choices.values():
-            known = {a.dest for a in action._actions}
-            action.set_defaults(**{k: v for k, v in config.items() if k in known})
+            action.set_defaults(**{
+                a.dest: (_config_bool(a.dest, config[a.dest])
+                         if isinstance(a, argparse._StoreTrueAction)
+                         else config[a.dest])
+                for a in action._actions if a.dest in config})
     return parser
+
+
+@functools.cache
+def _default_parser() -> _Parser:
+    """The parser without config defaults: built once, as parsing never
+    changes it."""
+    return build_parser()
 
 
 def _config_path(argv: list[str]) -> str | None:
@@ -462,15 +491,13 @@ def _config_path(argv: list[str]) -> str | None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    config = {}
     try:
         path = _config_path(argv)
-        if path is not None:
-            config = _load_config(path)
+        parser = (_default_parser() if path is None
+                  else build_parser(_load_config(path)))
     except (IndexError, OSError, ValueError) as exc:
         sys.stderr.write(f"genoq: config error: {exc}\n")
         return EXIT_CONFIG
-    parser = build_parser(config)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -253,6 +253,8 @@ def run_search(problem: SearchProblem, iterations: int, shots: int,
     Shots are drawn over the slots exactly as ``sim.sample`` draws them over
     the full register, where every other basis state has amplitude zero.
     """
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     space = build_slot_space(problem)
     amps = space.evolve(iterations)
     p = amps ** 2

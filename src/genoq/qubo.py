@@ -17,6 +17,18 @@ from typing import Callable, Sequence
 from .errors import CapacityError, ParseError, ShapeError
 
 ASSEMBLY_NODE_CAP = 6  # keeps n^2-variable models brute-force verifiable
+# Largest model read or encoded, checked before anything of its size is
+# allocated. Knapsack models couple every pair of their variables, so for
+# them it bounds the couplings.
+MODEL_MAX_VARS = 1 << 20
+
+
+def _model_size(n: int) -> int:
+    """``n``, or CapacityError when a model of n variables is past the cap."""
+    if n > MODEL_MAX_VARS:
+        raise CapacityError(
+            f"{n} variables exceeds the model-size cap {MODEL_MAX_VARS}")
+    return n
 
 
 def _check_terms(n: int, h: Sequence[float], J: dict) -> None:
@@ -162,6 +174,8 @@ class OverlapInstance:
     overlaps: dict[tuple[int, int], float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("overlap graph needs at least one read")
         for (u, v), w in self.overlaps.items():
             if u == v:
                 raise ValueError("overlap graph must be loop-free")
@@ -299,6 +313,10 @@ def knapsack_to_qubo(k: KnapsackInstance) -> Encoding:
     n_items = len(k.values)
     n_slack = math.ceil(math.log2(k.capacity + 1))
     nv = n_items + n_slack
+    pairs = nv * (nv - 1) // 2
+    if pairs > MODEL_MAX_VARS:
+        raise CapacityError(f"knapsack model of {nv} variables has {pairs} "
+                            f"couplings, over the model-size cap {MODEL_MAX_VARS}")
     penalty = 1.0 + sum(k.values)
     h = [0.0] * nv
     J: dict[tuple[int, int], float] = {}
@@ -400,7 +418,7 @@ def read_model(text: str) -> Model:
             raise ValueError(f"unknown convention {convention!r}")
     except ValueError as exc:
         raise ParseError(f"line {no}: bad model header: {exc}") from exc
-    h = [0.0] * n
+    h = [0.0] * _model_size(n)
     J: dict[tuple[int, int], float] = {}
     seen: set[tuple[int, int]] = set()
     for no, fields in lines[1:]:
@@ -453,6 +471,8 @@ def _from_json(text: str, build: Callable[[dict], object]):
         if not isinstance(obj, dict):
             raise TypeError("expected a JSON object")
         return build(obj)
+    except CapacityError:
+        raise
     except KeyError as exc:
         raise ParseError(f"bad instance JSON: missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
@@ -461,12 +481,12 @@ def _from_json(text: str, build: Callable[[dict], object]):
 
 def weighted_graph_from_json(text: str) -> WeightedGraph:
     return _from_json(text, lambda obj: WeightedGraph(
-        _int(obj["n"]), _edge_dict(obj.get("edges", []))))
+        _model_size(_int(obj["n"])), _edge_dict(obj.get("edges", []))))
 
 
 def fragment_graph_from_json(text: str) -> FragmentGraph:
     return _from_json(text, lambda obj: FragmentGraph(
-        _int(obj["n"]), _edge_dict(obj.get("edges", []))))
+        _model_size(_int(obj["n"])), _edge_dict(obj.get("edges", []))))
 
 
 def knapsack_from_json(text: str) -> KnapsackInstance:

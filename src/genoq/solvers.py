@@ -72,7 +72,8 @@ def brute_force(model: Model) -> tuple[float, list[tuple[int, ...]]]:
     and a block of high rows gets its cross terms from one matmul against the
     table of all low assignments. Optima (within 1e-12 of the running best)
     come in ascending index order; the reported energy is ``energy`` of the
-    first, so it does not depend on the matmul's summation order.
+    first, so it does not depend on the matmul's summation order, and only
+    candidates whose ``energy`` is within 1e-12 of it are kept.
     """
     n = model.n
     if n > BRUTE_FORCE_MAX_VARS:
@@ -111,7 +112,8 @@ def brute_force(model: Model) -> tuple[float, list[tuple[int, ...]]]:
                           + np.flatnonzero(np.abs(e - best_e) <= 1e-12))
     index = np.concatenate(optima)
     best = [tuple(row) for row in _assignments(index, n, spin).tolist()]
-    return energy(model, best[0]), best
+    best_e = energy(model, best[0])
+    return best_e, [a for a in best if abs(energy(model, a) - best_e) <= 1e-12]
 
 
 def _neighbor_lists(model: Model) -> list[list[tuple[int, float]]]:
@@ -123,11 +125,14 @@ def _neighbor_lists(model: Model) -> list[list[tuple[int, float]]]:
 
 
 def _anneal(model: Model, nbrs: list[list[tuple[int, float]]],
-            betas: list[float], seed) -> tuple[list[int], list[float]]:
+            betas: list[float], seed,
+            stop: float | None = None) -> tuple[list[int], list[float], bool]:
     """One Metropolis run with incremental local-field dE, on plain Python lists
     (much faster to index than numpy scalars). Seeded outputs rest on the draw
     order: n bits, then per sweep n targets and n thresholds. Returns the best
-    assignment and the best-so-far energy per sweep."""
+    assignment, the best-so-far energy per sweep run, and whether the run
+    stopped early: given a ``stop``, it does at the first new best whose
+    ``energy`` is <= ``stop``, as no later draw can undo that hit."""
     n = model.n
     spin = isinstance(model, IsingModel)
     rng = np.random.default_rng(seed)
@@ -141,7 +146,7 @@ def _anneal(model: Model, nbrs: list[list[tuple[int, float]]],
     best_e, best = e, vals[:]
     trace: list[float] = []
     for beta in betas:
-        targets = rng.integers(0, n, size=n).tolist()
+        targets = rng.integers(0, n, size=n, dtype=np.int64).tolist()
         thresholds = rng.random(n).tolist()
         for t, u in zip(targets, thresholds):
             old = vals[t]
@@ -154,15 +159,19 @@ def _anneal(model: Model, nbrs: list[list[tuple[int, float]]],
                     fields[j] += w * step
                 if e < best_e:
                     best_e, best = e, vals[:]
+                    if (stop is not None and e <= stop
+                            and energy(model, best) <= stop):
+                        trace.append(best_e)
+                        return best, trace, True
         trace.append(best_e)
-    return best, trace
+    return best, trace, False
 
 
 def simulated_annealing(model: Model, schedule: AnnealSchedule,
                         seed) -> SolverRun:
     """Metropolis single-variable updates with incremental local-field dE."""
-    best, trace = _anneal(model, _neighbor_lists(model),
-                          schedule.betas().tolist(), seed)
+    best, trace, _ = _anneal(model, _neighbor_lists(model),
+                             schedule.betas().tolist(), seed)
     best = tuple(best)
     return SolverRun(best, energy(model, best), trace, seed)
 
@@ -170,14 +179,20 @@ def simulated_annealing(model: Model, schedule: AnnealSchedule,
 def estimate_success_probability(model: Model, schedule: AnnealSchedule,
                                  runs: int, threshold: float,
                                  seed: int) -> SuccessStats:
-    """Independently-seeded SA runs; success iff best energy <= threshold."""
+    """Independently-seeded SA runs; success iff best energy <= threshold.
+
+    A run stops at its first confirmed hit, since the rest of its schedule
+    cannot undo it; TTS still charges each run its full sweep count.
+    """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     nbrs = _neighbor_lists(model)
     betas = schedule.betas().tolist()
-    successes = sum(
-        energy(model, _anneal(model, nbrs, betas, s)[0]) <= threshold + 1e-9
-        for s in np.random.SeedSequence(seed).spawn(runs))
+    stop = threshold + 1e-9
+    successes = 0
+    for s in np.random.SeedSequence(seed).spawn(runs):
+        best, _, hit = _anneal(model, nbrs, betas, s, stop)
+        successes += hit or energy(model, best) <= stop
     return SuccessStats(runs=runs, successes=successes, threshold=threshold)
 
 

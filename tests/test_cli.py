@@ -57,6 +57,21 @@ def test_grover_demo_overrotation_fails(capsys):
     assert json.loads(out)["p_exact"] < 0.999
 
 
+@pytest.mark.parametrize("argv", [
+    ["grover-demo"],
+    ["grover-search", "--key", "ATG"],
+], ids=["grover-demo", "grover-search"])
+def test_negative_iterations_exit_one(tmp_path, capsys, argv):
+    genome = tmp_path / "g.txt"
+    genome.write_text("ATGATG\n")
+    if argv[0] == "grover-search":
+        argv = argv + ["--genome", str(genome)]
+    code, out, err = run_cli(argv + ["--seed", "1", "--iterations", "-3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "genoq: error: iterations must be >= 0, got -3\n"
+
+
 def test_grover_demo_requires_seed(capsys):
     code, _, err = run_cli(["grover-demo"], capsys)
     assert code == 1
@@ -554,6 +569,49 @@ def test_tts_scan_golden_output_without_brute_force(capsys, monkeypatch):
     assert out == TTS_GOLDEN
 
 
+# Recorded before estimate_success_probability stopped runs at their first
+# threshold hit, at the benchmark's t grid and run count: the early exit must
+# leave every p_hat, and so every TTS, byte-identical.
+TTS_GOLDEN_BENCH_SHAPE = """\
+# command=tts-scan
+# version=0.1.0
+# param.density=0.5
+# param.runs=16
+# param.seed=3
+# param.sizes=14,20
+# param.t_grid=1,2,4,8,16,32,64,128
+# param.target_p=0.90000000000000002
+N,t,p_hat,R,TTS
+14,1,0,excluded,excluded
+14,2,0.0625,36,72
+14,4,0.6875,2,8
+14,8,1,1,8
+14,16,1,1,16
+14,32,1,1,32
+14,64,1,1,64
+14,128,1,1,128
+20,1,0,excluded,excluded
+20,2,0,excluded,excluded
+20,4,0.25,9,36
+20,8,1,1,8
+20,16,1,1,16
+20,32,1,1,32
+20,64,1,1,64
+20,128,1,1,128
+N,TTS_star,t_star,boundary_flag
+14,8,4,0
+20,8,8,0
+"""
+
+
+def test_tts_scan_golden_output_at_bench_shape(capsys):
+    code, out, _ = run_cli(
+        ["tts-scan", "--sizes", "14,20", "--t-grid", "1,2,4,8,16,32,64,128",
+         "--runs", "16", "--seed", "3", "--no-timestamp"], capsys)
+    assert code == 0
+    assert out == TTS_GOLDEN_BENCH_SHAPE
+
+
 def test_determinism_byte_identical(tmp_path, capsys):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["tts-scan", "--sizes", "8,12,16", "--t-grid", "1,4,16",
@@ -643,3 +701,82 @@ def test_bad_config_exits_three(tmp_path, capsys):
         ["--config", str(cfg), "grover-demo", "--seed", "1"], capsys)
     assert code == 3
     assert "config error" in err
+
+
+@pytest.mark.parametrize("value, stamped", [
+    ("false", True), ("No", True), ("0", True),
+    ("true", False), ("YES", False), ("1", False),
+])
+def test_config_boolean_words(tmp_path, capsys, value, stamped):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"no_timestamp={value}\n")
+    code, out, _ = run_cli(
+        ["--config", str(cfg), "grover-demo", "--seed", "1"], capsys)
+    assert code == 0
+    assert ("timestamp" in json.loads(out)["meta"]) is stamped
+
+
+def test_config_bad_boolean_exits_three(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("no_timestamp=maybe\n")
+    code, out, err = run_cli(
+        ["--config", str(cfg), "grover-demo", "--seed", "1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "config value no_timestamp='maybe'" in err
+
+
+def test_config_defaults_do_not_leak_into_later_calls(tmp_path, capsys):
+    # The parser without a config is built once per process; a config run
+    # builds its own, so its defaults must not reach the next call.
+    cfg = tmp_path / "cfg"
+    cfg.write_text("shots=512\nno_timestamp=true\n")
+    argv = ["grover-demo", "--seed", "1"]
+    code, out, _ = run_cli(["--config", str(cfg)] + argv, capsys)
+    assert code == 0
+    assert "timestamp" not in json.loads(out)["meta"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert "timestamp" in payload["meta"]
+    assert sum(payload["histogram"].values()) == 256
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["qubo-solve", "--model", "{path}"], "QUBO 1000000000 0 spin\n"),
+    (["qubo-solve", "--model", "{path}", "--solver", "sa", "--seed", "1"],
+     "QUBO 1048577 0 binary\n"),
+    (["qubo-build", "--problem", "max-cut", "--input", "{path}"],
+     '{"n": 1000000000}'),
+    (["qubo-build", "--problem", "phasing", "--input", "{path}"],
+     '{"n": 1000000000, "edges": [[0, 1, 1.0]]}'),
+    (["qubo-build", "--problem", "mis", "--input", "{path}"],
+     '{"n": 1048577}'),
+    (["qubo-build", "--problem", "knapsack", "--input", "{path}"],
+     json.dumps({"values": [1] * 1500, "weights": [1] * 1500,
+                 "capacity": 3})),
+], ids=["model-file", "model-file-sa", "max-cut", "phasing", "mis", "knapsack"])
+def test_model_over_size_cap_exits_two(tmp_path, capsys, argv, text):
+    # Each is refused before anything the size of the model is allocated.
+    path = tmp_path / "input"
+    path.write_text(text)
+    argv = [a.format(path=path) for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("genoq: capacity error: ") and err.count("\n") == 1
+    assert str(qubo.MODEL_MAX_VARS) in err
+
+
+@pytest.mark.parametrize("n, code, message", [
+    ("7", 2, "7 reads exceeds the 6-read cap"),
+    ("100000", 2, "100000 reads exceeds the 6-read cap"),
+    ("-3", 1, "overlap graph needs at least one read"),
+])
+def test_random_assembly_size_is_checked_first(capsys, n, code, message):
+    got, out, err = run_cli(
+        ["qubo-build", "--problem", "tsp-path", "--n", n, "--seed", "1"], capsys)
+    assert got == code
+    assert out == ""
+    assert message in err and err.count("\n") == 1

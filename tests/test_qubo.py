@@ -404,6 +404,15 @@ def test_read_model_rejects_garbage():
         read_model("QUBO 2 0 ternary\n")
 
 
+def test_model_size_cap_is_inclusive():
+    model = read_model(f"QUBO {qubo.MODEL_MAX_VARS} 0 spin\n0 1 -1\n")
+    assert model.n == qubo.MODEL_MAX_VARS
+    with pytest.raises(CapacityError):
+        read_model(f"QUBO {qubo.MODEL_MAX_VARS + 1} 0 spin\n")
+    with pytest.raises(CapacityError):
+        qubo.weighted_graph_from_json(f'{{"n": {qubo.MODEL_MAX_VARS + 1}}}')
+
+
 def test_json_loaders():
     g = qubo.weighted_graph_from_json('{"n": 3, "edges": [[0, 1, 2.5]]}')
     assert g.edges == {(0, 1): 2.5}

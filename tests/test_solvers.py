@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from genoq import solvers
 from genoq.errors import CapacityError
 from genoq.qubo import BinaryModel, IsingModel, energy, maxcut_to_ising, WeightedGraph
 from genoq.solvers import (
@@ -107,6 +108,7 @@ def test_brute_force_equals_reference_on_exact_weights(model):
 @settings(max_examples=80, deadline=None)
 @given(model=quadratic_models(st.floats(-1.0, 1.0), max_n=14))
 @example(model=IsingModel(1, (0.1,), {}, 0.3))
+@example(model=BinaryModel(2, (1e-12, -1.0), {}, 1.0))
 def test_brute_force_energy_is_exact_on_real_weights(model):
     _, energies = reference_enumeration(model)
     best_e, best = brute_force(model)
@@ -220,6 +222,48 @@ def test_success_probability_counts_sa_runs():
             for s in np.random.SeedSequence(13).spawn(30)]
     assert stats.successes == sum(r.best_energy <= ground + 1e-9 for r in runs)
     assert 0 < stats.successes < 30
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=quadratic_models(st.integers(-8, 8).map(lambda k: k / 2), max_n=8),
+       shift=st.sampled_from([-0.5, 0.0, 0.5]), sweeps=st.integers(1, 12),
+       runs=st.integers(1, 6), seed=st.integers(0, 2**31 - 1))
+def test_success_probability_equals_full_sa_runs(model, shift, sweeps, runs,
+                                                 seed):
+    # Stopping a run at its first hit must count exactly the runs whose full
+    # schedule ends at or below the threshold. Half-integer weights keep the
+    # incremental energies exact; a threshold below the ground admits none.
+    ground, _ = brute_force(model)
+    schedule = AnnealSchedule(sweeps=sweeps)
+    stats = estimate_success_probability(
+        model, schedule, runs=runs, threshold=ground + shift, seed=seed)
+    full = [simulated_annealing(model, schedule, s)
+            for s in np.random.SeedSequence(seed).spawn(runs)]
+    assert stats.successes == sum(
+        r.best_energy <= ground + shift + 1e-9 for r in full)
+    if shift < 0:
+        assert stats.successes == 0
+
+
+def test_success_probability_stops_runs_at_first_hit(monkeypatch):
+    # On a planted n = 12 glass, 128 sweeps reach the certified ground long
+    # before the schedule ends; those runs must stop there.
+    model = planted_ferromagnet(12, density=0.5, seed=4)
+    ground = -float(len(model.J))
+    anneal, lengths = solvers._anneal, []
+
+    def recording(*args, **kwargs):
+        best, trace, hit = anneal(*args, **kwargs)
+        lengths.append((len(trace), hit))
+        return best, trace, hit
+
+    monkeypatch.setattr(solvers, "_anneal", recording)
+    stats = estimate_success_probability(
+        model, AnnealSchedule(sweeps=128), runs=16, threshold=ground, seed=2)
+    assert stats.successes == 16
+    assert all(hit and n < 128 for n, hit in lengths)
+    run = simulated_annealing(model, AnnealSchedule(sweeps=128), seed=2)
+    assert len(run.trace) == 128
 
 
 def test_success_probability_reproducible_and_bounded():
