@@ -88,7 +88,8 @@ def build_window_db(genome: str, window_length: int) -> ReadWindowDatabase:
     m = window_length
     if not 1 <= m <= n:
         raise ValueError(f"window length must be in 1..{n}, got {m}")
-    windows = tuple(encode_window(genome[i : i + m]) for i in range(n - m + 1))
+    bits = encode_window(genome)
+    windows = tuple(bits[2 * i : 2 * (i + m)] for i in range(n - m + 1))
     return ReadWindowDatabase(
         genome=genome,
         window_length=m,

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from .errors import CapacityError, ParseError, ShapeError
 
@@ -31,43 +31,34 @@ def _model_size(n: int) -> int:
     return n
 
 
-def _check_terms(n: int, h: Sequence[float], J: dict) -> None:
-    if n < 1:
-        raise ValueError("model needs at least one variable")
-    if len(h) != n:
-        raise ShapeError(f"h has {len(h)} entries for {n} variables")
-    for (i, j) in J:
-        if not (0 <= i < j < n):
-            raise ValueError(f"coupling key {(i, j)} must satisfy 0 <= i < j < n")
-
-
 @dataclass(frozen=True)
-class IsingModel:
-    """E(s) = sum h_i s_i + sum_{i<j} J_ij s_i s_j + offset, s_i in {-1,+1}."""
+class Model:
+    """E(x) = sum h_i x_i + sum_{i<j} J_ij x_i x_j + offset, where x_i is a
+    spin in {-1,+1} when the class's ``spin`` is true and a bit in {0,1}
+    otherwise."""
 
+    spin: ClassVar[bool]
     n: int
     h: tuple[float, ...]
     J: dict[tuple[int, int], float] = field(default_factory=dict)
     offset: float = 0.0
 
     def __post_init__(self):
-        _check_terms(self.n, self.h, self.J)
+        if self.n < 1:
+            raise ValueError("model needs at least one variable")
+        if len(self.h) != self.n:
+            raise ShapeError(f"h has {len(self.h)} entries for {self.n} variables")
+        for (i, j) in self.J:
+            if not (0 <= i < j < self.n):
+                raise ValueError(f"coupling key {(i, j)} must satisfy 0 <= i < j < n")
 
 
-@dataclass(frozen=True)
-class BinaryModel:
-    """Same quadratic shape over variables in {0,1}."""
-
-    n: int
-    h: tuple[float, ...]
-    J: dict[tuple[int, int], float] = field(default_factory=dict)
-    offset: float = 0.0
-
-    def __post_init__(self):
-        _check_terms(self.n, self.h, self.J)
+class IsingModel(Model):
+    spin = True
 
 
-Model = IsingModel | BinaryModel
+class BinaryModel(Model):
+    spin = False
 
 
 def energy(model: Model, assignment: Sequence[int]) -> float:
@@ -75,7 +66,7 @@ def energy(model: Model, assignment: Sequence[int]) -> float:
         raise ShapeError(
             f"assignment has {len(assignment)} values for {model.n} variables"
         )
-    allowed = {-1, 1} if isinstance(model, IsingModel) else {0, 1}
+    allowed = {-1, 1} if model.spin else {0, 1}
     if not set(assignment) <= allowed:
         raise ShapeError(f"assignment values must be in {sorted(allowed)}")
     e = model.offset
@@ -122,22 +113,6 @@ def spins_to_bits(spins: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    n: int
-    edges: dict[tuple[int, int], float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for (i, j), w in self.edges.items():
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"edge {(i, j)} must satisfy 0 <= i < j < n")
-            if not math.isfinite(w):
-                raise ValueError("edge weights must be finite")
-
-
-@dataclass(frozen=True)
-class FragmentGraph:
-    """Alleles at heterozygous sites; positive weight = same-haplotype
-    evidence, negative = different-haplotype evidence."""
-
     n: int
     edges: dict[tuple[int, int], float] = field(default_factory=dict)
 
@@ -215,32 +190,36 @@ def maxcut_to_ising(g: WeightedGraph) -> Encoding:
     return Encoding(model, decode, {"problem": "max-cut"})
 
 
-def phasing_to_maxcut(fg: FragmentGraph) -> WeightedGraph:
+def phasing_to_maxcut(g: WeightedGraph) -> WeightedGraph:
     """Negate evidence weights so maximizing the cut places different-haplotype
     pairs across the partition and same-haplotype pairs within it."""
-    return WeightedGraph(fg.n, {e: -w for e, w in fg.edges.items()})
+    return WeightedGraph(g.n, {e: -w for e, w in g.edges.items()})
 
 
-def phasing_to_ising(fg: FragmentGraph) -> Encoding:
-    enc = maxcut_to_ising(phasing_to_maxcut(fg))
+def phasing_to_ising(g: WeightedGraph) -> Encoding:
+    """Haplotype phasing over heterozygous sites, as max-cut of the negated
+    evidence graph. Edge weight > 0 is same-haplotype evidence, < 0 is
+    different-haplotype evidence. The decoded bits are one haplotype label
+    per site; complementary labelings are equivalent."""
+    enc = maxcut_to_ising(phasing_to_maxcut(g))
+    return Encoding(enc.model, enc.decode, {"problem": "haplotype-phasing"})
 
-    def decode(spins: Sequence[int]) -> tuple[int, ...]:
-        # Haplotype label per site; complementary labelings are equivalent.
-        return tuple(spins_to_bits(spins))
 
-    return Encoding(enc.model, decode, {"problem": "haplotype-phasing"})
-
-
-def phasing_agreement(fg: FragmentGraph, labels: Sequence[int]) -> float:
+def phasing_agreement(g: WeightedGraph, labels: Sequence[int]) -> float:
     """Signed evidence satisfied by a haplotype labeling (higher is better)."""
     total = 0.0
-    for (i, j), w in fg.edges.items():
+    for (i, j), w in g.edges.items():
         total += w if labels[i] == labels[j] else -w
     return total
 
 
-def assembly_to_qubo(o: OverlapInstance,
-                     node_cap: int = ASSEMBLY_NODE_CAP) -> Encoding:
+def _couple(J: dict[tuple[int, int], float], i: int, j: int, w: float) -> None:
+    """Add w to the coupling of variables i != j."""
+    key = (i, j) if i < j else (j, i)
+    J[key] = J.get(key, 0.0) + w
+
+
+def assembly_to_qubo(o: OverlapInstance) -> Encoding:
     """Position-based Hamiltonian-path encoding with exactly n^2 variables.
 
     x[v*n + p] = 1 iff read v sits at path position p. Penalties enforce one
@@ -248,27 +227,19 @@ def assembly_to_qubo(o: OverlapInstance,
     overlaps between consecutive positions.
     """
     n = o.n
-    if n > node_cap:
-        raise CapacityError(f"{n} reads exceeds the {node_cap}-read cap")
+    if n > ASSEMBLY_NODE_CAP:
+        raise CapacityError(f"{n} reads exceeds the {ASSEMBLY_NODE_CAP}-read cap")
     nv = n * n
     var = lambda v, p: v * n + p
     h = [0.0] * nv
     J: dict[tuple[int, int], float] = {}
-
-    def add(i: int, j: int, w: float) -> None:
-        if i == j:
-            h[i] += w
-        else:
-            key = (min(i, j), max(i, j))
-            J[key] = J.get(key, 0.0) + w
-
     obj_weight = sum(abs(w) for w in o.overlaps.values()) * max(1, n - 1)
     penalty = 1.0 + obj_weight
     offset = 0.0
     # Objective: reward overlap w(u,v) when u at p and v at p+1.
     for (u, v), w in o.overlaps.items():
         for p in range(n - 1):
-            add(var(u, p), var(v, p + 1), -w)
+            _couple(J, var(u, p), var(v, p + 1), -w)
     # One read per position, one position per read: penalty * (sum - 1)^2.
     groups = [[var(v, p) for v in range(n)] for p in range(n)]
     groups += [[var(v, p) for p in range(n)] for v in range(n)]
@@ -277,7 +248,7 @@ def assembly_to_qubo(o: OverlapInstance,
         for a_i, i in enumerate(grp):
             h[i] -= penalty
             for j in grp[a_i + 1 :]:
-                add(i, j, 2.0 * penalty)
+                _couple(J, i, j, 2.0 * penalty)
     model = BinaryModel(nv, tuple(h), J, offset)
 
     def decode(bits: Sequence[int]) -> tuple[int, ...]:
@@ -317,24 +288,21 @@ def knapsack_to_qubo(k: KnapsackInstance) -> Encoding:
     if pairs > MODEL_MAX_VARS:
         raise CapacityError(f"knapsack model of {nv} variables has {pairs} "
                             f"couplings, over the model-size cap {MODEL_MAX_VARS}")
+    # Coefficient of each bit in (sum w_i x_i + sum 2^b y_b - capacity).
+    coeff = list(k.weights) + [1 << b for b in range(n_slack)]
+    # No coefficient below exceeds penalty * (capacity + sum(coeff))^2 in size;
+    # bounding that in exact integers keeps their float arithmetic finite.
+    if (1 + sum(k.values)) * (k.capacity + sum(coeff)) ** 2 > 2.0**1000:
+        raise ValueError("knapsack numbers are too large for float model "
+                         "coefficients")
     penalty = 1.0 + sum(k.values)
     h = [0.0] * nv
     J: dict[tuple[int, int], float] = {}
-
-    def add(i: int, j: int, w: float) -> None:
-        if i == j:
-            h[i] += w
-        else:
-            key = (min(i, j), max(i, j))
-            J[key] = J.get(key, 0.0) + w
-
-    # Coefficient of each bit in (sum w_i x_i + sum 2^b y_b - capacity).
-    coeff = list(k.weights) + [1 << b for b in range(n_slack)]
     offset = penalty * k.capacity**2
     for i, ci in enumerate(coeff):
         h[i] += penalty * (ci * ci - 2 * k.capacity * ci)
         for j in range(i + 1, nv):
-            add(i, j, 2.0 * penalty * ci * coeff[j])
+            J[(i, j)] = 2.0 * penalty * ci * coeff[j]
     for i, v in enumerate(k.values):
         h[i] -= v
     model = BinaryModel(nv, tuple(h), J, offset)
@@ -386,7 +354,7 @@ def is_independent_set(g: WeightedGraph, vertices: frozenset[int]) -> bool:
 def write_model(model: Model) -> str:
     """Bit-exact text format: header ``QUBO n offset convention``, then one
     line per term ``i i h_i`` / ``i j J_ij`` (i < j, 17 significant digits)."""
-    convention = "spin" if isinstance(model, IsingModel) else "binary"
+    convention = "spin" if model.spin else "binary"
     lines = [f"QUBO {model.n} {model.offset:.17g} {convention}"]
     for i, hi in enumerate(model.h):
         if hi != 0.0:
@@ -484,9 +452,9 @@ def weighted_graph_from_json(text: str) -> WeightedGraph:
         _model_size(_int(obj["n"])), _edge_dict(obj.get("edges", []))))
 
 
-def fragment_graph_from_json(text: str) -> FragmentGraph:
-    return _from_json(text, lambda obj: FragmentGraph(
-        _model_size(_int(obj["n"])), _edge_dict(obj.get("edges", []))))
+def fragment_graph_from_json(text: str) -> WeightedGraph:
+    """A phasing instance: a graph whose signed weights are haplotype evidence."""
+    return weighted_graph_from_json(text)
 
 
 def knapsack_from_json(text: str) -> KnapsackInstance:
@@ -497,8 +465,16 @@ def knapsack_from_json(text: str) -> KnapsackInstance:
     ))
 
 
+def _overlap_dict(triples) -> dict[tuple[int, int], float]:
+    out = {}
+    for u, v, w in triples:
+        key = (_int(u), _int(v))
+        if key in out:
+            raise ValueError(f"repeated overlap {key[0]} {key[1]}")
+        out[key] = float(w)
+    return out
+
+
 def overlap_from_json(text: str) -> OverlapInstance:
     return _from_json(text, lambda obj: OverlapInstance(
-        _int(obj["n"]),
-        {(_int(u), _int(v)): float(w) for u, v, w in obj.get("overlaps", [])},
-    ))
+        _int(obj["n"]), _overlap_dict(obj.get("overlaps", []))))

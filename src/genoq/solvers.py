@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .qubo import BinaryModel, IsingModel, Model, energy
+from .qubo import IsingModel, Model, energy
 
 BRUTE_FORCE_MAX_VARS = 25
 
@@ -41,7 +41,6 @@ class SolverRun:
     best_assignment: tuple[int, ...]
     best_energy: float
     trace: list[float]  # best-so-far per sweep, non-increasing
-    seed: object
 
 
 @dataclass
@@ -56,6 +55,16 @@ class SuccessStats:
 
 
 BLOCK_ENTRIES = 1 << 18  # energies evaluated per block (2 MiB of float64)
+
+
+def _check_finite_energies(model: Model) -> None:
+    """ValueError unless the sum of |coefficients| is finite: it bounds every
+    partial sum of every energy, so then none overflows."""
+    scale = (abs(model.offset) + sum(map(abs, model.h))
+             + sum(map(abs, model.J.values())))
+    if not math.isfinite(scale):
+        raise ValueError("model energies overflow: the sum of |coefficients| "
+                         "is not finite")
 
 
 def _assignments(index: np.ndarray, n: int, spin: bool) -> np.ndarray:
@@ -80,13 +89,8 @@ def brute_force(model: Model) -> tuple[float, list[tuple[int, ...]]]:
         raise CapacityError(
             f"{n} variables exceeds brute-force cap {BRUTE_FORCE_MAX_VARS}"
         )
-    # Every partial sum of every energy is bounded by this, so none overflows.
-    scale = (abs(model.offset) + sum(map(abs, model.h))
-             + sum(map(abs, model.J.values())))
-    if not math.isfinite(scale):
-        raise ValueError("model energies overflow: the sum of |coefficients| "
-                         "is not finite")
-    spin = isinstance(model, IsingModel)
+    _check_finite_energies(model)
+    spin = model.spin
     a = (n + 1) // 2
     W = np.zeros((n, n))
     for (i, j), w in model.J.items():
@@ -134,7 +138,7 @@ def _anneal(model: Model, nbrs: list[list[tuple[int, float]]],
     stopped early: given a ``stop``, it does at the first new best whose
     ``energy`` is <= ``stop``, as no later draw can undo that hit."""
     n = model.n
-    spin = isinstance(model, IsingModel)
+    spin = model.spin
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=n).tolist()
     vals = [2 * b - 1 for b in bits] if spin else bits
@@ -170,10 +174,11 @@ def _anneal(model: Model, nbrs: list[list[tuple[int, float]]],
 def simulated_annealing(model: Model, schedule: AnnealSchedule,
                         seed) -> SolverRun:
     """Metropolis single-variable updates with incremental local-field dE."""
+    _check_finite_energies(model)
     best, trace, _ = _anneal(model, _neighbor_lists(model),
                              schedule.betas().tolist(), seed)
     best = tuple(best)
-    return SolverRun(best, energy(model, best), trace, seed)
+    return SolverRun(best, energy(model, best), trace)
 
 
 def estimate_success_probability(model: Model, schedule: AnnealSchedule,
@@ -186,6 +191,7 @@ def estimate_success_probability(model: Model, schedule: AnnealSchedule,
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    _check_finite_energies(model)
     nbrs = _neighbor_lists(model)
     betas = schedule.betas().tolist()
     stop = threshold + 1e-9

@@ -77,24 +77,17 @@ def tts_curve(p_estimator: Callable[[float], float], t_grid: Sequence[float],
 
 
 def sa_probability_estimator(model: Model, threshold: float, runs: int,
-                             seed: int, beta_start: float | None = None,
-                             beta_end: float | None = None) -> Callable[[float], float]:
+                             seed: int) -> Callable[[float], float]:
     """p_estimator backed by seeded simulated-annealing batches.
 
     t is a sweep count, so the estimator raises ValueError unless t is a
     whole number >= 1: TTS = R x t must count sweeps that were run.
     """
-    kwargs = {}
-    if beta_start is not None:
-        kwargs["beta_start"] = beta_start
-    if beta_end is not None:
-        kwargs["beta_end"] = beta_end
-
     def estimate(t: float) -> float:
         if not (t >= 1 and float(t).is_integer()):
             raise ValueError(
                 f"SA run time t must be a whole number of sweeps >= 1, got {t:g}")
-        schedule = AnnealSchedule(sweeps=int(t), **kwargs)
+        schedule = AnnealSchedule(sweeps=int(t))
         stats = estimate_success_probability(
             model, schedule, runs=runs, threshold=threshold,
             seed=seed + int(t),

@@ -165,7 +165,7 @@ def test_acceptance_6_encoder_soundness():
     for _ in range(100):  # haplotype phasing
         n = int(rng.integers(2, 13))
         edges = {e: w for e, w in random_edges(n, signed=True).items() if w != 0}
-        fg = qubo.FragmentGraph(n, edges)
+        fg = qubo.WeightedGraph(n, edges)
         enc = qubo.phasing_to_ising(fg)
         _, best = solvers.brute_force(enc.model)
         bits = _all_bits(n)

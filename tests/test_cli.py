@@ -331,6 +331,20 @@ def test_qubo_solve_brute_golden_output(capsys, monkeypatch, kind):
     assert out == (BRUTE_GOLDEN / f"{kind}.json").read_text()
 
 
+BUILD_GOLDEN = Path(__file__).parent / "data" / "build_golden"
+
+
+@pytest.mark.parametrize("kind", ["assembly-path", "knapsack", "max-cut",
+                                  "phasing", "mis"])
+def test_qubo_build_golden_output(capsys, kind):
+    # Each encoder's serialized model is pinned byte for byte.
+    code, out, _ = run_cli(
+        ["qubo-build", "--problem", kind, "--input",
+         str(BUILD_GOLDEN / f"{kind}.json"), "--no-timestamp"], capsys)
+    assert code == 0
+    assert out == (BUILD_GOLDEN / f"{kind}.qubo").read_text()
+
+
 def test_qubo_build_out_then_solve(tmp_path, capsys):
     # The documented pipeline: the built file ends in "# key=value" lines.
     inst = tmp_path / "g.json"
@@ -406,9 +420,11 @@ def test_qubo_solve_malformed_model_exits_three(tmp_path, capsys, text, message)
     ("max-cut", '{"n": 3, "edges": [[0, 1.5, 1.0]]}', "expected an integer, got 1.5"),
     ("knapsack", '{"values": [2.5], "weights": [1], "capacity": 3}',
      "expected an integer, got 2.5"),
+    ("assembly-path", '{"n": 3, "overlaps": [[0, 1, 4.0], [0, 1, 9.0], [1, 2, 1.0]]}',
+     "repeated overlap 0 1"),
 ], ids=["no-n", "not-object", "bad-json", "edges-not-list", "short-edge",
         "edge-out-of-range", "no-weights", "overlaps-no-n", "fractional-index",
-        "fractional-value"])
+        "fractional-value", "repeated-overlap"])
 def test_qubo_build_malformed_instance_exits_three(tmp_path, capsys, problem,
                                                    text, message):
     inst = tmp_path / "i.json"
@@ -419,6 +435,18 @@ def test_qubo_build_malformed_instance_exits_three(tmp_path, capsys, problem,
     assert out == ""
     assert err.startswith("genoq: parse error: ") and message in err
     assert err.count("\n") == 1
+
+
+def test_qubo_build_knapsack_overflowing_capacity_exits_one(tmp_path, capsys):
+    # A valid instance whose penalty terms are past float range.
+    inst = tmp_path / "k.json"
+    inst.write_text(json.dumps({"values": [4, 5], "weights": [2, 3],
+                                "capacity": 10**200}))
+    code, out, err = run_cli(
+        ["qubo-build", "--problem", "knapsack", "--input", str(inst)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("genoq: error: ") and err.count("\n") == 1
 
 
 def test_qubo_build_needs_input(capsys):
@@ -456,11 +484,14 @@ def test_qubo_solve_any_model_bytes_exits_cleanly(data, solver):
         assert err.getvalue().count("\n") == 1
 
 
-def test_qubo_solve_brute_overflowing_model_exits_one(tmp_path, capsys):
+@pytest.mark.parametrize("solver", ["brute", "sa"])
+def test_qubo_solve_brute_overflowing_model_exits_one(tmp_path, capsys, solver):
     # Every value is finite, but the energies' sums overflow a float.
     model_file = tmp_path / "m.qubo"
     model_file.write_text("QUBO 2 0 spin\n0 0 1e308\n1 1 1e308\n0 1 1e308\n")
-    code, out, err = run_cli(["qubo-solve", "--model", str(model_file)], capsys)
+    code, out, err = run_cli(["qubo-solve", "--model", str(model_file),
+                              "--solver", solver, "--seed", "1", "--sweeps", "3"],
+                             capsys)
     assert code == 1
     assert out == ""
     assert err == ("genoq: error: model energies overflow: the sum of "

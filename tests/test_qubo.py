@@ -9,7 +9,6 @@ from genoq import qubo
 from genoq.errors import CapacityError, ShapeError
 from genoq.qubo import (
     BinaryModel,
-    FragmentGraph,
     IsingModel,
     KnapsackInstance,
     OverlapInstance,
@@ -183,10 +182,10 @@ def test_maxcut_energy_equals_negative_cut():
 
 def test_phasing_sign_convention():
     # Positive weight (same haplotype) must be satisfied by equal labels.
-    fg = FragmentGraph(2, {(0, 1): 3.0})
+    fg = WeightedGraph(2, {(0, 1): 3.0})
     enc = phasing_to_ising(fg)
     assert energy(enc.model, [1, 1]) < energy(enc.model, [1, -1])
-    fg2 = FragmentGraph(2, {(0, 1): -3.0})
+    fg2 = WeightedGraph(2, {(0, 1): -3.0})
     enc2 = phasing_to_ising(fg2)
     assert energy(enc2.model, [1, -1]) < energy(enc2.model, [1, 1])
 
@@ -197,7 +196,7 @@ def test_phasing_ground_state_maximizes_agreement():
         n = int(rng.integers(2, 7))
         edges = {(i, j): float(rng.normal()) for i in range(n)
                  for j in range(i + 1, n) if rng.random() < 0.6}
-        fg = FragmentGraph(n, edges)
+        fg = WeightedGraph(n, edges)
         enc = phasing_to_ising(fg)
         best_e, best = brute_min(enc.model)
         best_agreement = max(
@@ -210,7 +209,7 @@ def test_phasing_ground_state_maximizes_agreement():
 
 
 def test_phasing_maxcut_negates_weights():
-    fg = FragmentGraph(3, {(0, 1): 2.0, (1, 2): -1.5})
+    fg = WeightedGraph(3, {(0, 1): 2.0, (1, 2): -1.5})
     g = phasing_to_maxcut(fg)
     assert g.edges == {(0, 1): -2.0, (1, 2): 1.5}
 

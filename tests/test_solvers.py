@@ -118,9 +118,15 @@ def test_brute_force_energy_is_exact_on_real_weights(model):
         assert abs(energy(model, a) - best_e) <= 1e-12
 
 
-def test_brute_force_rejects_overflowing_energies():
+@pytest.mark.parametrize("solve", [
+    brute_force,
+    lambda model: simulated_annealing(model, AnnealSchedule(sweeps=3), 1),
+    lambda model: estimate_success_probability(
+        model, AnnealSchedule(sweeps=3), runs=2, threshold=0.0, seed=1),
+], ids=["brute", "sa", "sa-estimate"])
+def test_brute_force_rejects_overflowing_energies(solve):
     with pytest.raises(ValueError, match="overflow"):
-        brute_force(IsingModel(2, (1e308, 1e308), {(0, 1): 1e308}))
+        solve(IsingModel(2, (1e308, 1e308), {(0, 1): 1e308}))
 
 
 def test_brute_force_binary_model():
