@@ -346,8 +346,11 @@ def cmd_tts_scan(args) -> int:
     rows = ["N,t,p_hat,R,TTS"]
     star_rows = ["N,TTS_star,t_star,boundary_flag"]
     tts_star: dict[float, float] = {}
+    if args.stub_tau is not None and not 0 < args.stub_tau < math.inf:
+        raise ValueError(
+            f"--stub-tau must be positive and finite, got {args.stub_tau!r}")
     for n in sizes:
-        if args.stub_tau:
+        if args.stub_tau is not None:
             # Closed-form stub p(t) = 1 - exp(-t / (tau * N)) for protocol checks.
             tau = args.stub_tau * n
             estimator = lambda t, tau=tau: 1.0 - math.exp(-t / tau)

@@ -5,9 +5,10 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import SequenceParseError
 
-BASES = "ATGC"
 BASE_BITS = {"A": "00", "T": "01", "G": "10", "C": "11"}
 
 
@@ -54,7 +55,7 @@ def next_power_of_two(n: int) -> int:
 class ReadWindowDatabase:
     """All N-M+1 length-M windows of a genome, in genome order.
 
-    ``windows`` maps slot index -> encoded 2M-bit string. When the window
+    Window i is ``genome[i : i + M]``; nothing else is stored. When the window
     count is not a power of two, slots [count, padded_size) repeat the data
     of window 0; those padding slots are made non-matchable at the oracle
     level by a reserved flag qubit (see RegisterLayout).
@@ -62,12 +63,14 @@ class ReadWindowDatabase:
 
     genome: str
     window_length: int
-    windows: tuple[str, ...]
-    padded_size: int
 
     @property
     def count(self) -> int:
-        return len(self.windows)
+        return len(self.genome) - self.window_length + 1
+
+    @property
+    def padded_size(self) -> int:
+        return next_power_of_two(self.count)
 
     @property
     def has_padding(self) -> bool:
@@ -76,26 +79,32 @@ class ReadWindowDatabase:
     def window_string(self, i: int) -> str:
         return self.genome[i : i + self.window_length]
 
+    def codes(self) -> np.ndarray:
+        """Each window's ``encode_window`` bits as an int64, by a rolling shift
+        over the base codes; ValueError past 31 bases (62 bits)."""
+        m = self.window_length
+        if m > 31:
+            raise ValueError(f"window length {m} > 31 bases has no int64 code")
+        table = np.zeros(256, dtype=np.int64)
+        table[list(b"ATGC")] = np.arange(4)  # the codes of BASE_BITS
+        base = table[np.frombuffer(self.genome.encode("ascii"), dtype=np.uint8)]
+        codes = np.zeros(self.count, dtype=np.int64)
+        for k in range(m):
+            codes = (codes << 2) | base[k : k + self.count]
+        return codes
+
     def to_csv(self) -> str:
+        windows = map(self.window_string, range(self.count))
         lines = ["index,window_string,encoded_bits"]
-        for i, bits in enumerate(self.windows):
-            lines.append(f"{i},{self.window_string(i)},{bits}")
+        lines += [f"{i},{w},{encode_window(w)}" for i, w in enumerate(windows)]
         return "\n".join(lines) + "\n"
 
 
 def build_window_db(genome: str, window_length: int) -> ReadWindowDatabase:
     n = len(genome)
-    m = window_length
-    if not 1 <= m <= n:
-        raise ValueError(f"window length must be in 1..{n}, got {m}")
-    bits = encode_window(genome)
-    windows = tuple(bits[2 * i : 2 * (i + m)] for i in range(n - m + 1))
-    return ReadWindowDatabase(
-        genome=genome,
-        window_length=m,
-        windows=windows,
-        padded_size=next_power_of_two(len(windows)),
-    )
+    if not 1 <= window_length <= n:
+        raise ValueError(f"window length must be in 1..{n}, got {window_length}")
+    return ReadWindowDatabase(genome=genome, window_length=window_length)
 
 
 @dataclass(frozen=True)
@@ -129,7 +138,3 @@ def layout_for(genome_length: int, window_length: int) -> RegisterLayout:
         data_qubits=2 * window_length,
         flag_qubits=1 if padded > count else 0,
     )
-
-
-def register_layout(db: ReadWindowDatabase) -> RegisterLayout:
-    return layout_for(len(db.genome), db.window_length)

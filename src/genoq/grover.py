@@ -26,7 +26,7 @@ from .genome import (
     RegisterLayout,
     build_window_db,
     encode_window,
-    register_layout,
+    layout_for,
 )
 from .sim import Circuit, Gate, StateVector, bitstring
 
@@ -36,10 +36,7 @@ class SearchProblem:
     db: ReadWindowDatabase
     key: str  # base string of length M
     layout: RegisterLayout
-
-    @property
-    def key_bits(self) -> str:
-        return encode_window(self.key)
+    key_code: int  # the key's bits as one number, as windows are coded
 
 
 def make_problem(db: ReadWindowDatabase, key: str) -> SearchProblem:
@@ -47,7 +44,8 @@ def make_problem(db: ReadWindowDatabase, key: str) -> SearchProblem:
         raise ShapeError(
             f"key length {len(key)} != window length {db.window_length}"
         )
-    return SearchProblem(db=db, key=key, layout=register_layout(db))
+    layout = layout_for(len(db.genome), db.window_length)
+    return SearchProblem(db, key, layout, int(encode_window(key), 2))
 
 
 @dataclass(frozen=True)
@@ -66,18 +64,15 @@ class GroverRun:
     matches: list[dict] = field(default_factory=list)
 
 
-def _data_flip_gates(layout: RegisterLayout, slot: int, bits: str,
+def _data_flip_gates(layout: RegisterLayout, slot: int, code: int,
                      set_flag: bool) -> list[Gate]:
-    """Multicontrolled-X gates loading ``bits`` (plus flag) into slot ``slot``."""
+    """MCX gates loading window ``code`` (then the flag) into slot ``slot``."""
     controls = tuple(
         (layout.index_qubit(j), (slot >> j) & 1)
         for j in range(layout.index_qubits)
     )
-    gates = []
-    qd = layout.data_qubits
-    for p, ch in enumerate(bits):
-        if ch == "1":
-            gates.append(Gate("X", qd - 1 - p, controls))
+    gates = [Gate("X", q, controls)
+             for q in reversed(range(layout.data_qubits)) if code >> q & 1]
     if set_flag:
         gates.append(Gate("X", layout.flag_qubit, controls))
     return gates
@@ -92,27 +87,22 @@ def _check_capacity(layout: RegisterLayout) -> None:
 
 def build_state_prep(db: ReadWindowDatabase) -> Circuit:
     """H layer on the index register, then one MCX per set data bit per slot."""
-    layout = register_layout(db)
+    layout = layout_for(len(db.genome), db.window_length)
     _check_capacity(layout)
+    codes = db.codes().tolist()
     gates = [Gate("H", layout.index_qubit(j)) for j in range(layout.index_qubits)]
     for slot in range(db.padded_size):
         padding = slot >= db.count
-        bits = db.windows[0] if padding else db.windows[slot]
-        gates.extend(_data_flip_gates(layout, slot, bits, set_flag=padding))
+        code = codes[0] if padding else codes[slot]
+        gates.extend(_data_flip_gates(layout, slot, code, set_flag=padding))
     return Circuit(layout.total, tuple(gates))
 
 
 def build_oracle(problem: SearchProblem) -> Circuit:
     """Phase -1 on data == key (flag unset), as X-conjugated multicontrolled-Z."""
     layout = problem.layout
-    key_bits = problem.key_bits
-    if len(key_bits) != layout.data_qubits:
-        raise ShapeError(
-            f"key encodes to {len(key_bits)} bits, register has "
-            f"{layout.data_qubits} data qubits"
-        )
     qd = layout.data_qubits
-    x_qubits = [qd - 1 - p for p, ch in enumerate(key_bits) if ch == "0"]
+    x_qubits = [q for q in reversed(range(qd)) if not problem.key_code >> q & 1]
     if layout.flag_qubits:
         x_qubits.append(layout.flag_qubit)
     conj = [Gate("X", q) for q in x_qubits]
@@ -133,22 +123,29 @@ def build_diffusion(state_prep: Circuit) -> Circuit:
     return Circuit(n, tuple(vdag + r0 + list(state_prep.gates)))
 
 
+def _set_bits(bases: str) -> int:
+    """Set bits of the 2-bit codes of ``bases``: one for T and G, two for C."""
+    return bases.count("T") + bases.count("G") + 2 * bases.count("C")
+
+
 def circuit_lengths(problem: SearchProblem) -> tuple[int, int, int]:
     """Gate counts of (state prep, oracle, diffusion), without building them.
 
     They equal ``len()`` of ``build_state_prep``, ``build_oracle`` and
     ``build_diffusion`` at any register size: prep is one H per index qubit
-    plus one MCX per set data bit per slot, padding slots repeating window 0
-    plus the flag; the oracle X-conjugates each zero key bit and the flag
+    plus one MCX per set data bit per slot (counted per base, over the M
+    genome slices of the windows' k-th bases), padding slots repeating window
+    0 plus the flag; the oracle X-conjugates each zero key bit and the flag
     around one MCZ; diffusion is Vdag, R0 (an X layer on each side of one
     MCZ) and V.
     """
     layout = problem.layout
     db = problem.db
-    first = db.windows[0].count("1")
-    prep = (layout.index_qubits + sum(bits.count("1") for bits in db.windows)
-            + (db.padded_size - db.count) * (first + 1))
-    oracle = 2 * (problem.key_bits.count("0") + layout.flag_qubits) + 1
+    genome, m, count = db.genome, db.window_length, db.count
+    loaded = sum(_set_bits(genome[k : k + count]) for k in range(m))
+    prep = (layout.index_qubits + loaded
+            + (db.padded_size - count) * (_set_bits(genome[:m]) + 1))
+    oracle = 2 * (layout.data_qubits - _set_bits(problem.key) + layout.flag_qubits) + 1
     return prep, oracle, 2 * prep + 2 * layout.total + 1
 
 
@@ -177,8 +174,7 @@ def _match_mask(problem: SearchProblem) -> np.ndarray:
     layout = problem.layout
     dim = 1 << layout.total
     idx = np.arange(dim, dtype=np.int64)
-    key_val = int(problem.key_bits, 2)
-    mask = (idx & ((1 << layout.data_qubits) - 1)) == key_val
+    mask = (idx & ((1 << layout.data_qubits) - 1)) == problem.key_code
     if layout.flag_qubits:
         mask &= ((idx >> layout.flag_qubit) & 1) == 0
     return mask
@@ -226,15 +222,15 @@ def build_slot_space(problem: SearchProblem) -> SlotSpace:
     layout = problem.layout
     _check_capacity(layout)
     db = problem.db
-    windows = [int(bits, 2) for bits in db.windows]
+    table = db.codes()
+    marked = np.flatnonzero(table == problem.key_code)
     if db.has_padding:
         # Padding slots load window 0 and set the flag, so they never match.
-        windows += [windows[0] | 1 << layout.flag_qubit] * (db.padded_size - db.count)
-    table = np.array(windows, dtype=np.int64)
+        pad = table[0] | 1 << layout.flag_qubit
+        table = np.append(table, np.full(db.padded_size - db.count, pad))
     low = layout.data_qubits + layout.flag_qubits
     basis = (np.arange(db.padded_size, dtype=np.int64) << low) | table
-    key = int(problem.key_bits, 2)
-    return SlotSpace(basis=basis, marked=np.flatnonzero(table[:db.count] == key))
+    return SlotSpace(basis=basis, marked=marked)
 
 
 def decode_outcome(problem: SearchProblem, bits: str) -> tuple[int, str]:
@@ -291,20 +287,18 @@ def search_unknown_count(problem: SearchProblem, seed: int,
                          shots: int = 64) -> GroverRun | None:
     """Doubling-iteration driver for an unknown number of matching windows.
 
-    Tries k = 1, 2, 4, ... and classically verifies each sampled candidate;
-    returns the first run whose top sampled outcome verifies, or None when
+    Tries k = 1, 2, 4, ... and classically verifies each run's top sampled
+    outcome; returns the first run whose top outcome verifies, or None when
     the doubling budget is exhausted (key absent).
     """
-    key_bits = problem.key_bits
     budget = 2 * math.ceil(math.sqrt(problem.db.padded_size)) + 1
     k = 1
     while k <= budget:
         run = run_search(problem, iterations=k, shots=shots, seed=seed + k)
         top = max(run.histogram, key=run.histogram.get)
-        index, data = decode_outcome(problem, top)
-        if data == key_bits and index < problem.db.count:
-            if problem.db.window_string(index) == problem.key:
-                return run
+        index, _ = decode_outcome(problem, top)
+        if index < problem.db.count and problem.db.window_string(index) == problem.key:
+            return run
         k *= 2
     return None
 

@@ -81,6 +81,14 @@ class PowerLawModel:
     prefactor: float
     exponent: float
 
+    def __post_init__(self):
+        if not 0 < self.prefactor < math.inf:
+            raise ValueError("runtime model prefactor must be positive and "
+                             f"finite, got {self.prefactor!r}")
+        if not math.isfinite(self.exponent):
+            raise ValueError(
+                f"runtime model exponent must be finite, got {self.exponent!r}")
+
     def __call__(self, n: float) -> float:
         return self.prefactor * n**self.exponent
 
@@ -91,8 +99,6 @@ def crossover_size(classical: PowerLawModel,
     cross for N >= 1. Identical models report 1 (crossing everywhere)."""
     a, c = classical.prefactor, classical.exponent
     b, q = quantum.prefactor, quantum.exponent
-    if a <= 0 or b <= 0:
-        raise ValueError("prefactors must be positive")
     if q == c:
         return 1.0 if a == b else None
     n_star = (a / b) ** (1.0 / (q - c))

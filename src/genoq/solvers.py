@@ -205,6 +205,8 @@ def estimate_success_probability(model: Model, schedule: AnnealSchedule,
 def planted_ferromagnet(n: int, density: float, seed: int) -> IsingModel:
     """Random-sign planted Ising glass: couplings -s*_i s*_j on a random
     graph, so the planted configuration is a certified ground state."""
+    if not 0 <= density <= 1:
+        raise ValueError(f"density must be in [0, 1], got {density!r}")
     rng = np.random.default_rng(seed)
     planted = rng.choice([-1, 1], size=n)
     J = {}

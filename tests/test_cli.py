@@ -48,6 +48,12 @@ def test_grover_demo_success(capsys):
     assert payload["decoded"] == {"index": 1, "base": "A"}
     assert payload["top_outcome"] == "0100"
     assert "timestamp" not in payload["meta"]
+    assert payload["circuit"] == {
+        "diffusion_gates": 19,
+        "oracle": ["X 1", "X 0", "CZ 0 q1=1", "X 0", "X 1"],
+        "state_prep": ["H 2", "H 3", "CX 0 q3=0,q2=0", "CX 0 q3=1,q2=0",
+                       "CX 1 q3=1,q2=1"],
+    }
 
 
 def test_grover_demo_overrotation_fails(capsys):
@@ -252,10 +258,25 @@ N,prep_gates,iter_gates,total_gates
 # prep_exponent=1.1327566022872593
 # total_exponent=1.6439770872417989
 """),
+    # Windows past 31 bases; 60 and 200 bases leave padding slots.
+    40: ("60,103,200,295", "13", """\
+# command=loading-scan
+# version=0.1.0
+# param.seed=13
+# param.sizes=60,103,200,295
+# param.window=40
+N,prep_gates,iter_gates,total_gates
+60,1645,3528,12229
+103,2621,5482,35513
+200,11378,23012,218486
+295,9729,19728,246465
+# prep_exponent=1.289060811135375
+# total_exponent=2.0281145160760348
+"""),
 }
 
 
-@pytest.mark.parametrize("window", [2, 8])
+@pytest.mark.parametrize("window", [2, 8, 40])
 def test_loading_scan_golden_output_without_circuits(capsys, monkeypatch, window):
     def no_circuits(*args):
         raise AssertionError("loading-scan must count gates without circuits")
@@ -723,6 +744,37 @@ def test_runtime_non_finite_value_exits_one(capsys, flag, value):
     assert err.count("\n") == 1
     assert "must be positive and finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "nan", "inf"])
+def test_runtime_bad_classical_seconds_exits_one(capsys, value):
+    code, out, err = run_cli(
+        ["runtime", "--N", "3e9", f"--classical-seconds={value}"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "must be positive and finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "-0.5", "1.5"])
+def test_tts_scan_density_outside_unit_interval_exits_one(capsys, value):
+    code, out, err = run_cli(
+        ["tts-scan", "--sizes", "6,8", "--t-grid", "2,8", "--runs", "4",
+         "--seed", "1", f"--density={value}"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"genoq: error: density must be in [0, 1], got {float(value)!r}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_tts_scan_bad_stub_tau_exits_one(capsys, value):
+    code, out, err = run_cli(
+        ["tts-scan", "--sizes", "6,8", "--t-grid", "2,8", "--seed", "1",
+         f"--stub-tau={value}"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("genoq: error: --stub-tau must be positive and finite, "
+                   f"got {float(value)!r}\n")
 
 
 def test_bad_config_exits_three(tmp_path, capsys):

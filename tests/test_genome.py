@@ -9,7 +9,6 @@ from genoq.genome import (
     layout_for,
     next_power_of_two,
     parse_sequence,
-    register_layout,
 )
 
 genomes = st.text(alphabet="ATGC", min_size=1, max_size=64)
@@ -46,13 +45,13 @@ def test_parse_empty():
 def test_window_db_toy():
     db = build_window_db("TATG", 1)
     assert db.count == 4
-    assert db.windows == ("01", "00", "01", "10")
+    assert db.codes().tolist() == [0b01, 0b00, 0b01, 0b10]
 
 
 def test_window_db_single_window():
     db = build_window_db("TATG", 4)
     assert db.count == 1
-    assert db.windows[0] == encode_window("TATG")
+    assert db.codes().tolist() == [int(encode_window("TATG"), 2)]
 
 
 def test_window_db_power_of_two_no_padding():
@@ -82,11 +81,22 @@ def test_window_count_and_round_trip(genome, data):
     m = data.draw(st.integers(1, len(genome)))
     db = build_window_db(genome, m)
     assert db.count == len(genome) - m + 1
-    for i, bits in enumerate(db.windows):
-        assert bits == encode_window(genome[i : i + m])
+    if m <= 31:
+        codes = [int(encode_window(genome[i : i + m]), 2) for i in range(db.count)]
+        assert db.codes().tolist() == codes
+    else:
+        with pytest.raises(ValueError):
+            db.codes()
     assert db.padded_size == next_power_of_two(db.count)
     assert db.padded_size >= db.count
     assert db.padded_size < 2 * max(1, db.count)
+
+
+def test_codes_stop_at_31_bases():
+    genome = "C" * 40
+    assert build_window_db(genome, 31).codes().tolist() == [2**62 - 1] * 10
+    with pytest.raises(ValueError, match="32"):
+        build_window_db(genome, 32).codes()
 
 
 def test_layout_human_genome_scale():
@@ -96,7 +106,7 @@ def test_layout_human_genome_scale():
 
 
 def test_layout_toy():
-    layout = register_layout(build_window_db("TATG", 1))
+    layout = layout_for(4, 1)
     assert (layout.index_qubits, layout.data_qubits) == (2, 2)
     assert layout.flag_qubits == 0
     assert layout.total == 4

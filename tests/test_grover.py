@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from genoq import grover, sim
 from genoq.errors import CapacityError, NormalizationError, ShapeError
-from genoq.genome import build_window_db, register_layout
+from genoq.genome import build_window_db, layout_for
 from genoq.sim import Circuit, Gate, init_state, run_circuit
 
 
@@ -17,14 +17,18 @@ def toy_problem():
     return grover.make_problem(build_window_db("TATG", 1), "A")
 
 
+def db_layout(db):
+    return layout_for(len(db.genome), db.window_length)
+
+
 def prepared_state(db):
-    state = init_state(register_layout(db).total)
+    state = init_state(db_layout(db).total)
     run_circuit(grover.build_state_prep(db), state)
     return state
 
 
-def basis_index(layout, slot, data_bits, flag=0):
-    value = int(data_bits, 2)
+def basis_index(layout, slot, code, flag=0):
+    value = code
     if layout.flag_qubits:
         value |= flag << layout.flag_qubit
     return (slot << (layout.data_qubits + layout.flag_qubits)) | value
@@ -32,11 +36,11 @@ def basis_index(layout, slot, data_bits, flag=0):
 
 def test_state_prep_entangles_index_and_data():
     db = build_window_db("TATG", 1)
-    layout = register_layout(db)
+    layout = db_layout(db)
     state = prepared_state(db)
     expected = np.zeros(16)
-    for slot, bits in enumerate(db.windows):
-        expected[basis_index(layout, slot, bits)] = 0.5
+    for slot, code in enumerate(db.codes().tolist()):
+        expected[basis_index(layout, slot, code)] = 0.5
     assert np.allclose(state.amplitudes, expected, atol=1e-10)
 
 
@@ -58,14 +62,14 @@ def test_state_prep_all_a_genome_has_no_flips():
 
 def test_state_prep_padding_flag():
     db = build_window_db("TATGA", 1)  # 5 windows, padded to 8
-    layout = register_layout(db)
+    layout = db_layout(db)
     assert layout.flag_qubits == 1
     state = prepared_state(db)
     probs = np.abs(state.amplitudes) ** 2
     for slot in range(8):
         padding = slot >= 5
-        bits = db.windows[0] if padding else db.windows[slot]
-        idx = basis_index(layout, slot, bits, flag=int(padding))
+        code = db.codes()[0 if padding else slot]
+        idx = basis_index(layout, slot, int(code), flag=int(padding))
         assert probs[idx] == pytest.approx(1 / 8)
     assert probs.sum() == pytest.approx(1.0)
 
@@ -85,7 +89,7 @@ def test_oracle_marks_only_key():
     before = state.amplitudes.copy()
     run_circuit(grover.build_oracle(problem), state)
     layout = problem.layout
-    flipped = {basis_index(layout, 1, "00")}
+    flipped = {basis_index(layout, 1, 0)}
     for i in range(16):
         sign = -1 if i in flipped else 1
         assert np.isclose(state.amplitudes[i], sign * before[i])
@@ -146,7 +150,7 @@ def test_full_register_reflection_matches_index_reflection_on_reachable():
     # The index-register reflection and the full-register one agree on the
     # subspace V |index basis>|0...0>, exercised here at toy size.
     db = build_window_db("TATG", 1)
-    layout = register_layout(db)
+    layout = db_layout(db)
     v = grover.build_state_prep(db)
     idx_qubits = [layout.index_qubit(j) for j in range(layout.index_qubits)]
     xs = [Gate("X", q) for q in idx_qubits]
@@ -160,8 +164,8 @@ def test_full_register_reflection_matches_index_reflection_on_reachable():
     alpha /= np.linalg.norm(alpha)
     state_a = init_state(layout.total)
     state_a.amplitudes[:] = 0
-    for slot, bits in enumerate(db.windows):
-        state_a.amplitudes[basis_index(layout, slot, bits)] = alpha[slot]
+    for slot, code in enumerate(db.codes().tolist()):
+        state_a.amplitudes[basis_index(layout, slot, code)] = alpha[slot]
     state_b = state_a.copy()
     run_circuit(grover.build_diffusion(v), state_a)
     run_circuit(alt, state_b)
@@ -271,7 +275,7 @@ def test_loading_cost_all_a_genome_constant_prep():
     for n in (64, 256):
         db = build_window_db("A" * n, 2)
         v = grover.build_state_prep(db)
-        layout = register_layout(db)
+        layout = db_layout(db)
         # padding slots still copy window 0 (all zero bits) but set the flag
         flips = [g for g in v.gates if g.kind == "X" and g.target != layout.flag_qubit]
         assert not flips

@@ -126,6 +126,14 @@ def test_crossover_bad_prefactor():
         crossover_size(PowerLawModel(-1.0, 1.0), PowerLawModel(1.0, 0.5))
 
 
+@pytest.mark.parametrize("prefactor, exponent", [
+    (0.0, 1.0), (math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan), (1.0, -math.inf),
+])
+def test_power_law_model_rejects_bad_terms(prefactor, exponent):
+    with pytest.raises(ValueError, match="runtime model"):
+        PowerLawModel(prefactor, exponent)
+
+
 def test_runtime_sweep_flags():
     classical = PowerLawModel(1e-9, 1.0)
     quantum = PowerLawModel(1e-3, 0.5)

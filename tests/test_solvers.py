@@ -320,6 +320,12 @@ def test_planted_ground_is_minus_coupling_count(n, density, seed):
     assert ground == -float(len(model.J))
 
 
+@pytest.mark.parametrize("density", [float("nan"), -0.5, 1.5])
+def test_planted_ferromagnet_rejects_density_outside_unit_interval(density):
+    with pytest.raises(ValueError, match="density must be in"):
+        planted_ferromagnet(8, density, seed=1)
+
+
 def test_planted_ferromagnet_reproducible():
     a = planted_ferromagnet(8, density=0.3, seed=4)
     b = planted_ferromagnet(8, density=0.3, seed=4)
