@@ -114,10 +114,34 @@ def brute_force(model: Model) -> tuple[float, list[tuple[int, ...]]]:
         if low <= best_e + 1e-12:
             optima.append((start << a)
                           + np.flatnonzero(np.abs(e - best_e) <= 1e-12))
-    index = np.concatenate(optima)
-    best = [tuple(row) for row in _assignments(index, n, spin).tolist()]
-    best_e = energy(model, best[0])
-    return best_e, [a for a in best if abs(energy(model, a) - best_e) <= 1e-12]
+    return _ties(model, _assignments(np.concatenate(optima), n, spin))
+
+
+def _energies(model: Model, values: np.ndarray) -> np.ndarray:
+    """``energy`` of every row of ``values``, bit for bit: its terms and
+    products, summed left to right (``accumulate``) in its order, over blocks
+    of rows of about ``BLOCK_ENTRIES`` terms."""
+    h = np.asarray(model.h, dtype=float)
+    pairs = np.array(list(model.J), dtype=np.intp).reshape(-1, 2)
+    w = np.fromiter(model.J.values(), dtype=float, count=len(model.J))
+    rows = max(1, BLOCK_ENTRIES // (1 + len(h) + len(w)))
+    energies = []
+    for start in range(0, len(values), rows):
+        v = values[start:start + rows].T.astype(float)
+        terms = np.concatenate([np.full((1, v.shape[1]), float(model.offset)),
+                                h[:, None] * v,
+                                w[:, None] * v[pairs[:, 0]] * v[pairs[:, 1]]])
+        energies.append(np.add.accumulate(terms)[-1])
+    return np.concatenate(energies)
+
+
+def _ties(model: Model,
+          values: np.ndarray) -> tuple[float, list[tuple[int, ...]]]:
+    """``energy`` of the first row, and every row whose ``energy`` is within
+    1e-12 of it, in order."""
+    best_e = energy(model, values[0].tolist())
+    keep = np.abs(_energies(model, values) - best_e) <= 1e-12
+    return best_e, list(map(tuple, values[keep].tolist()))
 
 
 def _neighbor_lists(model: Model) -> list[list[tuple[int, float]]]:
@@ -128,46 +152,56 @@ def _neighbor_lists(model: Model) -> list[list[tuple[int, float]]]:
     return nbrs
 
 
+SWEEPS_PER_DRAW = 8  # sweeps whose randomness one pair of draws supplies
+
+
 def _anneal(model: Model, nbrs: list[list[tuple[int, float]]],
-            betas: list[float], seed,
+            betas: np.ndarray, seed,
             stop: float | None = None) -> tuple[list[int], list[float], bool]:
     """One Metropolis run with incremental local-field dE, on plain Python lists
     (much faster to index than numpy scalars). Seeded outputs rest on the draw
-    order: n bits, then per sweep n targets and n thresholds. Returns the best
-    assignment, the best-so-far energy per sweep run, and whether the run
-    stopped early: given a ``stop``, it does at the first new best whose
-    ``energy`` is <= ``stop``, as no later draw can undo that hit."""
+    order: n start bits, then per block of up to ``SWEEPS_PER_DRAW`` sweeps
+    (k of them) a (k, n) array of targets and a (k, n) array of Exp(1) draws
+    divided by each sweep's beta. A move is accepted iff dE <= 0 or dE is
+    below its limit, which has probability exp(-beta * dE): Metropolis.
+    Returns the best assignment, the best-so-far energy per sweep run, and
+    whether the run stopped early: given a ``stop``, it does at the first new
+    best whose ``energy`` is <= ``stop``, as no later draw can undo that hit."""
     n = model.n
     spin = model.spin
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=n).tolist()
     vals = [2 * b - 1 for b in bits] if spin else bits
-    fields = [float(h) for h in model.h]
+    h = [float(x) for x in model.h]
+    fields = h[:]
     for (i, j), w in model.J.items():
         fields[i] += w * vals[j]
         fields[j] += w * vals[i]
-    e = energy(model, vals)
+    e = float(model.offset) + 0.5 * sum(
+        v * (hi + f) for v, hi, f in zip(vals, h, fields))
     best_e, best = e, vals[:]
     trace: list[float] = []
-    for beta in betas:
-        targets = rng.integers(0, n, size=n, dtype=np.int64).tolist()
-        thresholds = rng.random(n).tolist()
-        for t, u in zip(targets, thresholds):
-            old = vals[t]
-            step = -2 * old if spin else 1 - 2 * old
-            delta = step * fields[t]
-            if delta <= 0.0 or u < math.exp(-beta * delta):
-                vals[t] = old + step
-                e += delta
-                for j, w in nbrs[t]:
-                    fields[j] += w * step
-                if e < best_e:
-                    best_e, best = e, vals[:]
-                    if (stop is not None and e <= stop
-                            and energy(model, best) <= stop):
-                        trace.append(best_e)
-                        return best, trace, True
-        trace.append(best_e)
+    for s in range(0, len(betas), SWEEPS_PER_DRAW):
+        block = betas[s:s + SWEEPS_PER_DRAW, None]
+        targets = rng.integers(0, n, size=(len(block), n)).tolist()
+        limits = (rng.standard_exponential((len(block), n)) / block).tolist()
+        for sweep_targets, sweep_limits in zip(targets, limits):
+            for t, limit in zip(sweep_targets, sweep_limits):
+                old = vals[t]
+                step = -2 * old if spin else 1 - 2 * old
+                delta = step * fields[t]
+                if delta <= 0.0 or delta < limit:
+                    vals[t] = old + step
+                    e += delta
+                    for j, w in nbrs[t]:
+                        fields[j] += w * step
+                    if e < best_e:
+                        best_e, best = e, vals[:]
+                        if (stop is not None and e <= stop
+                                and energy(model, best) <= stop):
+                            trace.append(best_e)
+                            return best, trace, True
+            trace.append(best_e)
     return best, trace, False
 
 
@@ -175,8 +209,8 @@ def simulated_annealing(model: Model, schedule: AnnealSchedule,
                         seed) -> SolverRun:
     """Metropolis single-variable updates with incremental local-field dE."""
     _check_finite_energies(model)
-    best, trace, _ = _anneal(model, _neighbor_lists(model),
-                             schedule.betas().tolist(), seed)
+    best, trace, _ = _anneal(model, _neighbor_lists(model), schedule.betas(),
+                             seed)
     best = tuple(best)
     return SolverRun(best, energy(model, best), trace)
 
@@ -193,7 +227,7 @@ def estimate_success_probability(model: Model, schedule: AnnealSchedule,
         raise ValueError("runs must be >= 1")
     _check_finite_energies(model)
     nbrs = _neighbor_lists(model)
-    betas = schedule.betas().tolist()
+    betas = schedule.betas()
     stop = threshold + 1e-9
     successes = 0
     for s in np.random.SeedSequence(seed).spawn(runs):
@@ -209,9 +243,9 @@ def planted_ferromagnet(n: int, density: float, seed: int) -> IsingModel:
         raise ValueError(f"density must be in [0, 1], got {density!r}")
     rng = np.random.default_rng(seed)
     planted = rng.choice([-1, 1], size=n)
-    J = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < density:
-                J[(i, j)] = -float(planted[i] * planted[j])
+    i, j = np.triu_indices(n, 1)
+    edge = rng.random(len(i)) < density
+    i, j = i[edge], j[edge]
+    weights = (-planted[i] * planted[j]).astype(float)
+    J = dict(zip(zip(i.tolist(), j.tolist()), weights.tolist()))
     return IsingModel(n, (0.0,) * n, J, 0.0)

@@ -571,8 +571,8 @@ def test_tts_scan_stub_accepts_fractional_t(capsys):
         assert float(total) == pytest.approx(int(reps) * float(t))
 
 
-# Recorded before the SA kernel moved to plain lists and the brute force
-# left tts-scan; both changes must leave this output byte-identical.
+# Recorded from the SA kernel that draws its randomness a block of sweeps
+# at a time; tts-scan without brute force must reproduce it byte for byte.
 TTS_GOLDEN = """\
 # command=tts-scan
 # version=0.1.0
@@ -584,28 +584,28 @@ TTS_GOLDEN = """\
 # param.target_p=0.90000000000000002
 N,t,p_hat,R,TTS
 8,1,0.125,18,18
-8,2,0.125,18,36
-8,4,0.5,4,16
-8,8,0.75,2,16
+8,2,0.25,9,18
+8,4,0.625,3,12
+8,8,1,1,8
 8,16,1,1,16
 10,1,0,excluded,excluded
-10,2,0.25,9,18
-10,4,0.625,3,12
+10,2,0.125,18,36
+10,4,0.75,2,8
 10,8,1,1,8
 10,16,1,1,16
 12,1,0,excluded,excluded
-12,2,0,excluded,excluded
+12,2,0.25,9,18
 12,4,1,1,4
 12,8,1,1,8
 12,16,1,1,16
 N,TTS_star,t_star,boundary_flag
-8,16,4,0
-10,8,8,0
-12,4,4,1
-# power_law_exponent=-3.407509350416333
-# power_law_stderr=0.19806929764612302
-# exponential_base=0.70710678118654757
-# exponential_stderr=1.873334247669415e-16
+8,8,8,0
+10,8,4,0
+12,4,4,0
+# power_law_exponent=-1.6465769940510711
+# power_law_stderr=1.0826978691875755
+# exponential_base=0.84089641525371461
+# exponential_stderr=0.10004717782107886
 """
 
 
@@ -621,9 +621,7 @@ def test_tts_scan_golden_output_without_brute_force(capsys, monkeypatch):
     assert out == TTS_GOLDEN
 
 
-# Recorded before estimate_success_probability stopped runs at their first
-# threshold hit, at the benchmark's t grid and run count: the early exit must
-# leave every p_hat, and so every TTS, byte-identical.
+# The same, at the benchmark's t grid and run count.
 TTS_GOLDEN_BENCH_SHAPE = """\
 # command=tts-scan
 # version=0.1.0
@@ -635,8 +633,8 @@ TTS_GOLDEN_BENCH_SHAPE = """\
 # param.target_p=0.90000000000000002
 N,t,p_hat,R,TTS
 14,1,0,excluded,excluded
-14,2,0.0625,36,72
-14,4,0.6875,2,8
+14,2,0.1875,12,24
+14,4,0.625,3,12
 14,8,1,1,8
 14,16,1,1,16
 14,32,1,1,32
@@ -644,14 +642,14 @@ N,t,p_hat,R,TTS
 14,128,1,1,128
 20,1,0,excluded,excluded
 20,2,0,excluded,excluded
-20,4,0.25,9,36
+20,4,0.625,3,12
 20,8,1,1,8
 20,16,1,1,16
 20,32,1,1,32
 20,64,1,1,64
 20,128,1,1,128
 N,TTS_star,t_star,boundary_flag
-14,8,4,0
+14,8,8,0
 20,8,8,0
 """
 

@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genoq import qubo
@@ -145,12 +146,15 @@ def test_conversion_keeps_energy_exactly_on_integer_weights(model):
 
 @settings(max_examples=100, deadline=None)
 @given(model=quadratic_models(st.floats(-1e3, 1e3), max_n=8))
+@example(model=BinaryModel(1, (5e-324,), {}, 0.0))
 def test_conversion_keeps_energy_on_real_weights(model):
     # Relative to the model's total coefficient size, since the energy itself
-    # can cancel to zero.
+    # can cancel to zero, plus one smallest subnormal per term: halving 5e-324
+    # cannot be exact, and the relative bound underflows to 0 there.
     scale = abs(model.offset) + sum(map(abs, model.h)) + sum(map(abs, model.J.values()))
+    ulps = (1 + model.n + len(model.J)) * math.ulp(0.0)
     for e, e_other in _energy_pairs(model):
-        assert abs(e - e_other) <= 1e-9 * scale
+        assert abs(e - e_other) <= 1e-9 * scale + ulps
 
 
 def test_bits_spins_helpers():

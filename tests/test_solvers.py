@@ -16,6 +16,7 @@ from genoq.solvers import (
     planted_ferromagnet,
     simulated_annealing,
 )
+from genoq.tts import wilson_interval
 from strategies import quadratic_models
 
 
@@ -118,6 +119,24 @@ def test_brute_force_energy_is_exact_on_real_weights(model):
         assert abs(energy(model, a) - best_e) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(model=quadratic_models(st.floats(-1.0, 1.0), max_n=10))
+@example(model=IsingModel(10, (0.0,) * 10))
+@example(model=BinaryModel(3, (-0.1, -0.2, -0.3), {(0, 2): 1.0, (1, 2): 1.0}))
+def test_tie_filter_equals_energy_list_filter(model):
+    # The array filter must keep exactly the rows a per-assignment ``energy``
+    # filter keeps. Rows start at an optimum, as brute force's candidates do;
+    # (1, 1, 0) and (0, 0, 1) above tie to within 6e-17.
+    rows, energies = reference_enumeration(model)
+    start = int(np.argmin(energies))
+    rows, energies = rows[start:] + rows[:start], energies[start:] + energies[:start]
+    values = np.array(rows)
+    assert solvers._energies(model, values).tolist() == energies
+    first = energies[0]
+    assert solvers._ties(model, values) == (
+        first, [a for a in rows if abs(energy(model, a) - first) <= 1e-12])
+
+
 @pytest.mark.parametrize("solve", [
     brute_force,
     lambda model: simulated_annealing(model, AnnealSchedule(sweeps=3), 1),
@@ -173,6 +192,17 @@ def test_sa_trace_non_increasing_and_consistent():
     assert run.trace[-1] == pytest.approx(run.best_energy, abs=1e-9)
 
 
+@pytest.mark.parametrize("sweeps", [1, 7, 8, 9, 17])
+@pytest.mark.parametrize("cls", [IsingModel, BinaryModel])
+def test_sa_trace_has_one_entry_per_sweep_across_draw_blocks(cls, sweeps):
+    # Randomness is drawn SWEEPS_PER_DRAW sweeps at a time; a schedule that
+    # ends inside, at or just past a block edge must still run every sweep.
+    model = random_model(np.random.default_rng(4), 10, cls)
+    run = simulated_annealing(model, AnnealSchedule(sweeps=sweeps), seed=3)
+    assert len(run.trace) == sweeps
+    assert all(b <= a for a, b in zip(run.trace, run.trace[1:]))
+
+
 def test_sa_finds_chain_ground_state():
     model = chain_ferromagnet(12)
     hits = 0
@@ -198,13 +228,16 @@ def test_sa_degenerate_single_sweep():
         energy(model, run.best_assignment), abs=1e-12)
 
 
-# Recorded from the kernel that indexed numpy arrays scalar by scalar; the
-# list kernel must reproduce its RNG use and float arithmetic bit for bit.
+# Recorded from the kernel that draws its targets and Exp(1) limits a block
+# of SWEEPS_PER_DRAW sweeps at a time; pins its RNG use and float arithmetic.
 SA_GOLDEN = {
-    IsingModel: (23, 31, (-1, -1, -1, -1, -1, 1, -1, -1, 1), -11.229684240374384,
-                 [-6.61643771372731] * 4 + [-11.229684240374377] * 2),
-    BinaryModel: (29, 37, (1, 1, 1, 0, 0, 1, 1, 0, 0), -1.7570729992858094,
-                  [-1.3793494754802431] * 2 + [-1.7570729992858096] * 4),
+    IsingModel: (23, 31, (-1, -1, 1, 1, -1, 1, -1, -1, -1), -20.316512422611563,
+                 [-6.616437713727311, -7.289650040196118, -11.647949673412842,
+                  -11.921406484093753, -17.219437804117106,
+                  -20.316512422611567]),
+    BinaryModel: (29, 37, (1, 0, 0, 0, 0, 1, 1, 0, 1), -1.570327048112995,
+                  [-1.3793494754802413] * 4
+                  + [-1.5125853569363568, -1.570327048112993]),
 }
 
 
@@ -232,7 +265,7 @@ def test_success_probability_counts_sa_runs():
 
 @settings(max_examples=60, deadline=None)
 @given(model=quadratic_models(st.integers(-8, 8).map(lambda k: k / 2), max_n=8),
-       shift=st.sampled_from([-0.5, 0.0, 0.5]), sweeps=st.integers(1, 12),
+       shift=st.sampled_from([-0.5, 0.0, 0.5]), sweeps=st.integers(1, 20),
        runs=st.integers(1, 6), seed=st.integers(0, 2**31 - 1))
 def test_success_probability_equals_full_sa_runs(model, shift, sweeps, runs,
                                                  seed):
@@ -270,6 +303,27 @@ def test_success_probability_stops_runs_at_first_hit(monkeypatch):
     assert all(hit and n < 128 for n, hit in lengths)
     run = simulated_annealing(model, AnnealSchedule(sweeps=128), seed=2)
     assert len(run.trace) == 128
+
+
+# Successes in 4000 runs at seed 7 on planted_ferromagnet(n, 0.5, 100 + n),
+# recorded from the kernel that drew targets and uniforms once per sweep and
+# accepted against exp(-beta * dE). A change of SA's random stream must leave
+# every success probability statistically equal.
+PER_SWEEP_DRAW_SUCCESSES = {(14, 2): 551, (14, 4): 2941, (20, 4): 2784,
+                            (20, 8): 3958, (16, 3): 1547}
+
+
+@pytest.mark.parametrize("n, sweeps", list(PER_SWEEP_DRAW_SUCCESSES))
+def test_success_counts_match_per_sweep_draw_kernel(n, sweeps):
+    runs = 4000
+    model = planted_ferromagnet(n, 0.5, 100 + n)
+    stats = estimate_success_probability(
+        model, AnnealSchedule(sweeps=sweeps), runs=runs,
+        threshold=-float(len(model.J)), seed=7)
+    low, high = wilson_interval(stats.p_hat, runs)
+    ref_low, ref_high = wilson_interval(
+        PER_SWEEP_DRAW_SUCCESSES[(n, sweeps)] / runs, runs)
+    assert low <= ref_high and ref_low <= high
 
 
 def test_success_probability_reproducible_and_bounded():
@@ -324,6 +378,29 @@ def test_planted_ground_is_minus_coupling_count(n, density, seed):
 def test_planted_ferromagnet_rejects_density_outside_unit_interval(density):
     with pytest.raises(ValueError, match="density must be in"):
         planted_ferromagnet(8, density, seed=1)
+
+
+def nested_loop_planted_couplings(n, density, seed):
+    """One uniform per pair (i, j), i < j, drawn in row order."""
+    rng = np.random.default_rng(seed)
+    planted = rng.choice([-1, 1], size=n)
+    J = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                J[(i, j)] = -float(planted[i] * planted[j])
+    return J
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 14, 20, 33])
+def test_planted_ferromagnet_equals_nested_loop_draws(n):
+    for density in (0.0, 0.3, 0.5, 1.0):
+        for seed in (0, 5, 123):
+            J = planted_ferromagnet(n, density, seed).J
+            ref = nested_loop_planted_couplings(n, density, seed)
+            assert list(J.items()) == list(ref.items()), (density, seed)
+            assert all(type(k) is int for key in J for k in key)
+            assert all(type(w) is float for w in J.values())
 
 
 def test_planted_ferromagnet_reproducible():
