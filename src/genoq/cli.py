@@ -133,6 +133,18 @@ def _numbers(flag: str, text, cast) -> list:
     return [_number(flag, item, cast) for item in str(text).split(",")]
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds are non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _whole(text: str) -> int:
     """A size written as an integer or in float notation (3e9)."""
     return int(float(text))
@@ -342,6 +354,8 @@ def cmd_qubo_solve(args) -> int:
 def cmd_tts_scan(args) -> int:
     _require_seed(args)
     sizes = _numbers("--sizes", args.sizes, int)
+    if min(sizes) < 1:
+        raise ValueError(f"--sizes must be >= 1, got {min(sizes)}")
     t_grid = _numbers("--t-grid", args.t_grid, float)
     rows = ["N,t,p_hat,R,TTS"]
     star_rows = ["N,TTS_star,t_star,boundary_flag"]
@@ -389,7 +403,9 @@ def cmd_tts_scan(args) -> int:
 
 
 def _add_common(p: _Parser) -> None:
-    p.add_argument("--seed", type=int, help="RNG seed (required when stochastic)")
+    p.add_argument("--seed", type=_seed,
+                   help="RNG seed, a non-negative integer (required when "
+                        "stochastic)")
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--no-timestamp", action="store_true",
                    help="suppress the timestamp metadata field")

@@ -29,11 +29,21 @@ class AnnealSchedule:
         if not 0 < self.beta_start <= self.beta_end:
             raise ValueError("need 0 < beta_start <= beta_end")
 
-    def betas(self) -> np.ndarray:
-        """Geometric ladder from beta_start to beta_end, one beta per sweep."""
-        if self.sweeps == 1:
-            return np.array([self.beta_start])
-        return np.geomspace(self.beta_start, self.beta_end, self.sweeps)
+    def betas(self, start: int, stop: int) -> np.ndarray:
+        """The betas of sweeps start..stop-1 of the geometric ladder from
+        beta_start to beta_end, one beta per sweep. Equal, bit for bit, to
+        ``np.geomspace(beta_start, beta_end, sweeps)[start:stop]``, computed
+        in closed form as geomspace does, without building the whole ladder."""
+        log_start = np.log10(self.beta_start)
+        step = ((np.log10(self.beta_end) - log_start) / (self.sweeps - 1)
+                if self.sweeps > 1 else 0.0)
+        betas = 10.0 ** (np.arange(start, stop, dtype=float) * step + log_start)
+        # geomspace pins both ends, as 10 ** log10(x) need not be x.
+        if start == 0 < stop:
+            betas[0] = self.beta_start
+        if start < stop == self.sweeps > 1:
+            betas[-1] = self.beta_end
+        return betas
 
 
 @dataclass
@@ -156,61 +166,88 @@ SWEEPS_PER_DRAW = 8  # sweeps whose randomness one pair of draws supplies
 
 
 def _anneal(model: Model, nbrs: list[list[tuple[int, float]]],
-            betas: np.ndarray, seed,
-            stop: float | None = None) -> tuple[list[int], list[float], bool]:
-    """One Metropolis run with incremental local-field dE, on plain Python lists
-    (much faster to index than numpy scalars). Seeded outputs rest on the draw
-    order: n start bits, then per block of up to ``SWEEPS_PER_DRAW`` sweeps
-    (k of them) a (k, n) array of targets and a (k, n) array of Exp(1) draws
-    divided by each sweep's beta. A move is accepted iff dE <= 0 or dE is
-    below its limit, which has probability exp(-beta * dE): Metropolis.
-    Returns the best assignment, the best-so-far energy per sweep run, and
-    whether the run stopped early: given a ``stop``, it does at the first new
-    best whose ``energy`` is <= ``stop``, as no later draw can undo that hit."""
+            schedule: AnnealSchedule, rng: np.random.Generator, runs: int,
+            stop: float | None = None
+            ) -> list[tuple[list[int], list[float], bool]]:
+    """``runs`` Metropolis runs with incremental local-field dE, each on plain
+    Python lists (much faster to index than numpy scalars), from one
+    generator. Seeded outputs rest on the draw order: a (runs, n) array of
+    start bits, then per block of up to ``SWEEPS_PER_DRAW`` sweeps (k of
+    them) a (runs, k, n) array of targets and a (runs, k, n) array of Exp(1)
+    draws divided by each sweep's beta. Every block covers every run, stopped
+    or not, so each run reads its own slice of every block and no run's draws
+    depend on when another stopped; at runs = 1 the order is that of a single
+    run. A move is accepted iff dE <= 0 or dE is below its limit, which has
+    probability exp(-beta * dE): Metropolis.
+
+    Start fields and energies are summed in ``J`` order, as term-by-term
+    Python sums would be. Returns, per run, the best assignment, the
+    best-so-far energy per sweep run, and whether the run stopped early:
+    given a ``stop``, it does at the first new best whose ``energy`` is <=
+    ``stop``, as no later draw can undo that hit."""
     n = model.n
     spin = model.spin
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=n).tolist()
-    vals = [2 * b - 1 for b in bits] if spin else bits
-    h = [float(x) for x in model.h]
-    fields = h[:]
-    for (i, j), w in model.J.items():
-        fields[i] += w * vals[j]
-        fields[j] += w * vals[i]
-    e = float(model.offset) + 0.5 * sum(
-        v * (hi + f) for v, hi, f in zip(vals, h, fields))
-    best_e, best = e, vals[:]
-    trace: list[float] = []
-    for s in range(0, len(betas), SWEEPS_PER_DRAW):
-        block = betas[s:s + SWEEPS_PER_DRAW, None]
-        targets = rng.integers(0, n, size=(len(block), n)).tolist()
-        limits = (rng.standard_exponential((len(block), n)) / block).tolist()
-        for sweep_targets, sweep_limits in zip(targets, limits):
-            for t, limit in zip(sweep_targets, sweep_limits):
-                old = vals[t]
-                step = -2 * old if spin else 1 - 2 * old
-                delta = step * fields[t]
-                if delta <= 0.0 or delta < limit:
-                    vals[t] = old + step
-                    e += delta
-                    for j, w in nbrs[t]:
-                        fields[j] += w * step
-                    if e < best_e:
-                        best_e, best = e, vals[:]
-                        if (stop is not None and e <= stop
-                                and energy(model, best) <= stop):
-                            trace.append(best_e)
-                            return best, trace, True
-            trace.append(best_e)
-    return best, trace, False
+    bits = rng.integers(0, 2, size=(runs, n))
+    start_vals = 2 * bits - 1 if spin else bits
+    h = np.asarray(model.h, dtype=float)
+    pairs = np.array(list(model.J), dtype=np.intp).reshape(-1, 2)
+    w = np.fromiter(model.J.values(), dtype=float, count=len(model.J))
+    start_fields = np.tile(h, (runs, 1))
+    # Coupling (i, j) adds w * v_j to f_i, then w * v_i to f_j.
+    np.add.at(start_fields, (slice(None), pairs.ravel()),
+              np.repeat(w, 2) * start_vals[:, pairs[:, ::-1].ravel()])
+    # Left to right from a leading 0.0, as sum() adds from 0.
+    terms = np.zeros((runs, n + 1))
+    terms[:, 1:] = start_vals * (h + start_fields)
+    start_e = float(model.offset) + 0.5 * np.add.accumulate(terms, axis=1)[:, -1]
+    vals, fields = start_vals.tolist(), start_fields.tolist()
+    energies = start_e.tolist()
+    results = [(v[:], [], False) for v in vals]
+    live = list(range(runs))
+    for s in range(0, schedule.sweeps, SWEEPS_PER_DRAW):
+        betas = schedule.betas(s, min(s + SWEEPS_PER_DRAW, schedule.sweeps))
+        k = len(betas)
+        block_targets = rng.integers(0, n, size=(runs, k, n))
+        block_limits = rng.standard_exponential((runs, k, n)) / betas[:, None]
+        for r in live:
+            v, f, e = vals[r], fields[r], energies[r]
+            best, trace, _ = results[r]
+            best_e = trace[-1] if trace else e
+            hit = False
+            for sweep_targets, sweep_limits in zip(block_targets[r].tolist(),
+                                                   block_limits[r].tolist()):
+                for t, limit in zip(sweep_targets, sweep_limits):
+                    old = v[t]
+                    step = -2 * old if spin else 1 - 2 * old
+                    delta = step * f[t]
+                    if delta <= 0.0 or delta < limit:
+                        v[t] = old + step
+                        e += delta
+                        for j, wt in nbrs[t]:
+                            f[j] += wt * step
+                        if e < best_e:
+                            best_e, best = e, v[:]
+                            if (stop is not None and e <= stop
+                                    and energy(model, best) <= stop):
+                                hit = True
+                                break
+                trace.append(best_e)
+                if hit:
+                    break
+            energies[r] = e
+            results[r] = (best, trace, hit)
+        live = [r for r in live if not results[r][2]]
+        if not live:
+            break
+    return results
 
 
 def simulated_annealing(model: Model, schedule: AnnealSchedule,
                         seed) -> SolverRun:
     """Metropolis single-variable updates with incremental local-field dE."""
     _check_finite_energies(model)
-    best, trace, _ = _anneal(model, _neighbor_lists(model), schedule.betas(),
-                             seed)
+    [(best, trace, _)] = _anneal(model, _neighbor_lists(model), schedule,
+                                 np.random.default_rng(seed), 1)
     best = tuple(best)
     return SolverRun(best, energy(model, best), trace)
 
@@ -218,21 +255,21 @@ def simulated_annealing(model: Model, schedule: AnnealSchedule,
 def estimate_success_probability(model: Model, schedule: AnnealSchedule,
                                  runs: int, threshold: float,
                                  seed: int) -> SuccessStats:
-    """Independently-seeded SA runs; success iff best energy <= threshold.
+    """``runs`` SA runs from one generator seeded with ``seed``; success iff
+    best energy <= threshold.
 
     A run stops at its first confirmed hit, since the rest of its schedule
-    cannot undo it; TTS still charges each run its full sweep count.
+    cannot undo it, and no other run's draws move when it does; TTS still
+    charges each run its full sweep count.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     _check_finite_energies(model)
-    nbrs = _neighbor_lists(model)
-    betas = schedule.betas()
     stop = threshold + 1e-9
-    successes = 0
-    for s in np.random.SeedSequence(seed).spawn(runs):
-        best, _, hit = _anneal(model, nbrs, betas, s, stop)
-        successes += hit or energy(model, best) <= stop
+    results = _anneal(model, _neighbor_lists(model), schedule,
+                      np.random.default_rng(seed), runs, stop)
+    successes = sum(hit or energy(model, best) <= stop
+                    for best, _, hit in results)
     return SuccessStats(runs=runs, successes=successes, threshold=threshold)
 
 

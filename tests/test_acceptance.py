@@ -270,6 +270,8 @@ def test_acceptance_8_cli_determinism(tmp_path):
     experiments = [
         ["tts-scan", "--sizes", "8,12,16", "--t-grid", "1,4,16,64",
          "--stub-tau", "2.0", "--seed", "11", "--no-timestamp"],
+        ["tts-scan", "--sizes", "8,12,16", "--t-grid", "1,4,16,64",
+         "--runs", "16", "--seed", "11", "--no-timestamp"],
         ["loading-scan", "--sizes", "64,128,256", "--seed", "3",
          "--no-timestamp"],
         ["grover-demo", "--seed", "5", "--no-timestamp"],

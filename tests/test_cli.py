@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -549,6 +550,22 @@ def test_tts_scan_sa_small(capsys):
     assert "N,TTS_star,t_star,boundary_flag" in out
 
 
+def test_tts_scan_memory_does_not_grow_with_t(capsys):
+    # Runs stop at their first hit within a few sweeps, and the anneal builds
+    # one block of betas at a time: a 1e9-sweep ladder alone would be 8 GB.
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(
+            ["tts-scan", "--sizes", "8", "--t-grid", "1e9", "--runs", "2",
+             "--seed", "1", "--no-timestamp"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "8,1000000000,1,1,1000000000" in out
+    assert peak < 4 << 20
+
+
 def test_tts_scan_sa_rejects_fractional_t(capsys):
     code, out, err = run_cli(
         ["tts-scan", "--sizes", "8", "--t-grid", "1,2,2.5", "--runs", "4",
@@ -571,8 +588,9 @@ def test_tts_scan_stub_accepts_fractional_t(capsys):
         assert float(total) == pytest.approx(int(reps) * float(t))
 
 
-# Recorded from the SA kernel that draws its randomness a block of sweeps
-# at a time; tts-scan without brute force must reproduce it byte for byte.
+# Recorded from the SA kernel that draws an estimate's randomness a block of
+# sweeps at a time, for all of its runs from one generator; tts-scan without
+# brute force must reproduce it byte for byte.
 TTS_GOLDEN = """\
 # command=tts-scan
 # version=0.1.0
@@ -583,29 +601,29 @@ TTS_GOLDEN = """\
 # param.t_grid=1,2,4,8,16
 # param.target_p=0.90000000000000002
 N,t,p_hat,R,TTS
-8,1,0.125,18,18
-8,2,0.25,9,18
-8,4,0.625,3,12
+8,1,0.25,9,9
+8,2,0,excluded,excluded
+8,4,0.875,2,8
 8,8,1,1,8
 8,16,1,1,16
-10,1,0,excluded,excluded
-10,2,0.125,18,36
-10,4,0.75,2,8
+10,1,0.125,18,18
+10,2,0,excluded,excluded
+10,4,1,1,4
 10,8,1,1,8
 10,16,1,1,16
 12,1,0,excluded,excluded
 12,2,0.25,9,18
-12,4,1,1,4
+12,4,0.625,3,12
 12,8,1,1,8
 12,16,1,1,16
 N,TTS_star,t_star,boundary_flag
-8,8,8,0
-10,8,4,0
-12,4,4,0
-# power_law_exponent=-1.6465769940510711
-# power_law_stderr=1.0826978691875755
-# exponential_base=0.84089641525371461
-# exponential_stderr=0.10004717782107886
+8,8,4,0
+10,4,4,0
+12,8,8,0
+# power_law_exponent=-0.11435536231418986
+# power_law_stderr=1.9673264407290283
+# exponential_base=0.99999999999999978
+# exponential_stderr=0.20009435564215772
 """
 
 
@@ -634,7 +652,7 @@ TTS_GOLDEN_BENCH_SHAPE = """\
 N,t,p_hat,R,TTS
 14,1,0,excluded,excluded
 14,2,0.1875,12,24
-14,4,0.625,3,12
+14,4,0.5625,3,12
 14,8,1,1,8
 14,16,1,1,16
 14,32,1,1,32
@@ -642,7 +660,7 @@ N,t,p_hat,R,TTS
 14,128,1,1,128
 20,1,0,excluded,excluded
 20,2,0,excluded,excluded
-20,4,0.625,3,12
+20,4,0.5625,3,12
 20,8,1,1,8
 20,16,1,1,16
 20,32,1,1,32
@@ -773,6 +791,44 @@ def test_tts_scan_bad_stub_tau_exits_one(capsys, value):
     assert out == ""
     assert err == ("genoq: error: --stub-tau must be positive and finite, "
                    f"got {float(value)!r}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["grover-demo"],
+    ["grover-search", "--genome", "g.fa", "--key", "ATG"],
+    ["loading-scan"],
+    ["qubo-build", "--problem", "tsp-path", "--n", "3"],
+    ["qubo-solve", "--model", "m.qubo", "--solver", "sa"],
+    ["tts-scan", "--sizes", "8", "--t-grid", "1", "--runs", "2"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("seed", ["-1", "-20", "x"])
+def test_bad_seed_exits_three(capsys, argv, seed):
+    code, out, err = run_cli(argv + [f"--seed={seed}"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == (f"genoq {argv[0]}: error: argument --seed: expected a "
+                   f"non-negative integer, got {seed!r}\n")
+
+
+def test_config_negative_seed_exits_three(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("seed=-1\n")
+    code, out, err = run_cli(["--config", str(cfg), "grover-demo"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "argument --seed" in err
+
+
+@pytest.mark.parametrize("sizes, low", [("-20", -20), ("0,8,12", 0)])
+@pytest.mark.parametrize("stub", [[], ["--stub-tau", "2"]], ids=["sa", "stub"])
+def test_tts_scan_size_below_one_exits_one(capsys, sizes, low, stub):
+    code, out, err = run_cli(
+        ["tts-scan", f"--sizes={sizes}", "--t-grid", "1", "--seed", "3"]
+        + stub, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"genoq: error: --sizes must be >= 1, got {low}\n"
 
 
 def test_bad_config_exits_three(tmp_path, capsys):

@@ -166,8 +166,22 @@ def test_schedule_validation():
 
 def test_schedule_ladders():
     geo = AnnealSchedule(sweeps=3, beta_start=1.0, beta_end=4.0)
-    assert np.allclose(geo.betas(), [1.0, 2.0, 4.0])
-    assert AnnealSchedule(sweeps=1).betas().tolist() == [0.1]
+    assert np.allclose(geo.betas(0, 3), [1.0, 2.0, 4.0])
+    assert AnnealSchedule(sweeps=1).betas(0, 1).tolist() == [0.1]
+
+
+@pytest.mark.parametrize("beta_start, beta_end", [
+    (0.1, 10.0), (1.0, 1.0), (0.3, 0.30000000000000004), (1e-3, 1e3),
+    (2.5, 7.0)])
+def test_schedule_slices_equal_geomspace(beta_start, beta_end):
+    # The anneal builds one block's betas at a time; joined, the blocks must
+    # be the full geomspace ladder bit for bit, pinned ends included.
+    for sweeps in [*range(1, 130), 599, 1000, 4096, 123457]:
+        schedule = AnnealSchedule(sweeps, beta_start, beta_end)
+        blocks = [schedule.betas(s, min(s + solvers.SWEEPS_PER_DRAW, sweeps))
+                  for s in range(0, sweeps, solvers.SWEEPS_PER_DRAW)]
+        ladder = np.geomspace(beta_start, beta_end, sweeps)
+        assert np.concatenate(blocks).tobytes() == ladder.tobytes(), sweeps
 
 
 def test_sa_deterministic_per_seed():
@@ -251,16 +265,56 @@ def test_sa_golden_outputs(cls):
     assert run.trace == trace
 
 
+def full_runs(model, schedule, runs, seed):
+    """The estimator's runs, from its generator, each annealed to the end."""
+    return solvers._anneal(model, solvers._neighbor_lists(model), schedule,
+                           np.random.default_rng(seed), runs)
+
+
 def test_success_probability_counts_sa_runs():
+    # Real weights: a hit is confirmed by ``energy``, not by the incremental
+    # energy alone.
     model = random_model(np.random.default_rng(8), 10)
     schedule = AnnealSchedule(sweeps=5)
     ground, _ = brute_force(model)
     stats = estimate_success_probability(
         model, schedule, runs=30, threshold=ground, seed=13)
-    runs = [simulated_annealing(model, schedule, s)
-            for s in np.random.SeedSequence(13).spawn(30)]
-    assert stats.successes == sum(r.best_energy <= ground + 1e-9 for r in runs)
+    runs = full_runs(model, schedule, 30, seed=13)
+    assert stats.successes == sum(
+        energy(model, best) <= ground + 1e-9 for best, _, _ in runs)
     assert 0 < stats.successes < 30
+
+
+@pytest.mark.parametrize("sweeps", [1, 6, 8, 20])
+@pytest.mark.parametrize("cls", [IsingModel, BinaryModel])
+def test_anneal_single_run_equals_simulated_annealing(cls, sweeps):
+    for model_seed in range(5):
+        model = random_model(np.random.default_rng(model_seed), 9, cls)
+        schedule = AnnealSchedule(sweeps=sweeps)
+        [(best, trace, hit)] = full_runs(model, schedule, 1, seed=model_seed)
+        run = simulated_annealing(model, schedule, seed=model_seed)
+        assert (tuple(best), trace, hit) == (run.best_assignment, run.trace,
+                                             False)
+
+
+def test_run_trace_does_not_change_when_other_runs_stop():
+    # Every block draws for every run, so stopping some runs moves no other
+    # run's draws: a stopped run's trace is a prefix of its full trace and
+    # an unstopped run's trace is all of it.
+    model = random_model(np.random.default_rng(3), 12)
+    schedule = AnnealSchedule(sweeps=30)
+    ground, _ = brute_force(model)
+    stopped = solvers._anneal(model, solvers._neighbor_lists(model), schedule,
+                              np.random.default_rng(6), 24, stop=ground + 1e-9)
+    full = full_runs(model, schedule, 24, seed=6)
+    assert 0 < sum(hit for _, _, hit in stopped) < 24
+    for (best, trace, hit), (_, full_trace, _) in zip(stopped, full):
+        if hit:
+            assert len(trace) < 30
+            assert trace == full_trace[:len(trace)]
+            assert energy(model, best) <= ground + 1e-9
+        else:
+            assert trace == full_trace
 
 
 @settings(max_examples=60, deadline=None)
@@ -276,10 +330,9 @@ def test_success_probability_equals_full_sa_runs(model, shift, sweeps, runs,
     schedule = AnnealSchedule(sweeps=sweeps)
     stats = estimate_success_probability(
         model, schedule, runs=runs, threshold=ground + shift, seed=seed)
-    full = [simulated_annealing(model, schedule, s)
-            for s in np.random.SeedSequence(seed).spawn(runs)]
+    full = full_runs(model, schedule, runs, seed)
     assert stats.successes == sum(
-        r.best_energy <= ground + shift + 1e-9 for r in full)
+        energy(model, best) <= ground + shift + 1e-9 for best, _, _ in full)
     if shift < 0:
         assert stats.successes == 0
 
@@ -292,14 +345,15 @@ def test_success_probability_stops_runs_at_first_hit(monkeypatch):
     anneal, lengths = solvers._anneal, []
 
     def recording(*args, **kwargs):
-        best, trace, hit = anneal(*args, **kwargs)
-        lengths.append((len(trace), hit))
-        return best, trace, hit
+        results = anneal(*args, **kwargs)
+        lengths.extend((len(trace), hit) for _, trace, hit in results)
+        return results
 
     monkeypatch.setattr(solvers, "_anneal", recording)
     stats = estimate_success_probability(
         model, AnnealSchedule(sweeps=128), runs=16, threshold=ground, seed=2)
     assert stats.successes == 16
+    assert len(lengths) == 16
     assert all(hit and n < 128 for n, hit in lengths)
     run = simulated_annealing(model, AnnealSchedule(sweeps=128), seed=2)
     assert len(run.trace) == 128
