@@ -356,6 +356,9 @@ def cmd_tts_scan(args) -> int:
     sizes = _numbers("--sizes", args.sizes, int)
     if min(sizes) < 1:
         raise ValueError(f"--sizes must be >= 1, got {min(sizes)}")
+    for i, n in enumerate(sizes):
+        if n in sizes[:i]:
+            raise ValueError(f"--sizes repeats {n}")
     t_grid = _numbers("--t-grid", args.t_grid, float)
     rows = ["N,t,p_hat,R,TTS"]
     star_rows = ["N,TTS_star,t_star,boundary_flag"]

@@ -79,15 +79,19 @@ class ReadWindowDatabase:
     def window_string(self, i: int) -> str:
         return self.genome[i : i + self.window_length]
 
+    def base_codes(self) -> np.ndarray:
+        """The 2-bit ``BASE_BITS`` code of each genome base, as int64."""
+        table = np.zeros(256, dtype=np.int64)
+        table[list(b"ATGC")] = np.arange(4)
+        return table[np.frombuffer(self.genome.encode("ascii"), dtype=np.uint8)]
+
     def codes(self) -> np.ndarray:
         """Each window's ``encode_window`` bits as an int64, by a rolling shift
         over the base codes; ValueError past 31 bases (62 bits)."""
         m = self.window_length
         if m > 31:
             raise ValueError(f"window length {m} > 31 bases has no int64 code")
-        table = np.zeros(256, dtype=np.int64)
-        table[list(b"ATGC")] = np.arange(4)  # the codes of BASE_BITS
-        base = table[np.frombuffer(self.genome.encode("ascii"), dtype=np.uint8)]
+        base = self.base_codes()
         codes = np.zeros(self.count, dtype=np.int64)
         for k in range(m):
             codes = (codes << 2) | base[k : k + self.count]

@@ -123,29 +123,27 @@ def build_diffusion(state_prep: Circuit) -> Circuit:
     return Circuit(n, tuple(vdag + r0 + list(state_prep.gates)))
 
 
-def _set_bits(bases: str) -> int:
-    """Set bits of the 2-bit codes of ``bases``: one for T and G, two for C."""
-    return bases.count("T") + bases.count("G") + 2 * bases.count("C")
-
-
 def circuit_lengths(problem: SearchProblem) -> tuple[int, int, int]:
     """Gate counts of (state prep, oracle, diffusion), without building them.
 
     They equal ``len()`` of ``build_state_prep``, ``build_oracle`` and
     ``build_diffusion`` at any register size: prep is one H per index qubit
-    plus one MCX per set data bit per slot (counted per base, over the M
-    genome slices of the windows' k-th bases), padding slots repeating window
-    0 plus the flag; the oracle X-conjugates each zero key bit and the flag
-    around one MCZ; diffusion is Vdag, R0 (an X layer on each side of one
-    MCZ) and V.
+    plus one MCX per set data bit per slot (summed by one prefix sum over the
+    M genome slices of the windows' k-th bases), padding slots repeating
+    window 0 plus the flag; the oracle X-conjugates each zero key bit and the
+    flag around one MCZ; diffusion is Vdag, R0 (an X layer on each side of
+    one MCZ) and V.
     """
     layout = problem.layout
     db = problem.db
-    genome, m, count = db.genome, db.window_length, db.count
-    loaded = sum(_set_bits(genome[k : k + count]) for k in range(m))
+    m, count = db.window_length, db.count
+    base = db.base_codes()
+    # csum[i] is the set bits of genome[:i]; slice k is genome[k : k + count].
+    csum = np.concatenate(([0], np.cumsum((base & 1) + (base >> 1))))
+    loaded = int((csum[count : count + m] - csum[:m]).sum())
     prep = (layout.index_qubits + loaded
-            + (db.padded_size - count) * (_set_bits(genome[:m]) + 1))
-    oracle = 2 * (layout.data_qubits - _set_bits(problem.key) + layout.flag_qubits) + 1
+            + (db.padded_size - count) * (int(csum[m]) + 1))
+    oracle = 2 * (layout.data_qubits - problem.key_code.bit_count() + layout.flag_qubits) + 1
     return prep, oracle, 2 * prep + 2 * layout.total + 1
 
 
@@ -326,6 +324,9 @@ class LoadingCostScan:
         return "\n".join(lines) + "\n"
 
 
+_BASES = np.frombuffer(b"ATGC", "S1")  # a draw in 0..3 picks one, as choice does
+
+
 def _loglog_exponent(xs: list[int], ys: list[int]) -> float:
     slope, _ = np.polyfit(np.log(np.asarray(xs, float)),
                           np.log(np.asarray(ys, float)), 1)
@@ -345,7 +346,7 @@ def loading_cost_scan(sizes: list[int], window_length: int,
     rng = np.random.default_rng(seed)
     rows = []
     for n in sorted(sizes):
-        genome = "".join(rng.choice(list("ATGC"), size=n))
+        genome = _BASES[rng.integers(0, 4, size=n)].tobytes().decode()
         db = build_window_db(genome, window_length)
         start = int(rng.integers(0, db.count))
         key = genome[start : start + window_length]

@@ -831,6 +831,18 @@ def test_tts_scan_size_below_one_exits_one(capsys, sizes, low, stub):
     assert err == f"genoq: error: --sizes must be >= 1, got {low}\n"
 
 
+@pytest.mark.parametrize("sizes, repeated", [("8,8,8", 8), ("8,12,16,12", 12)])
+@pytest.mark.parametrize("stub", [[], ["--stub-tau", "2"]], ids=["sa", "stub"])
+def test_tts_scan_repeated_size_exits_one(capsys, sizes, repeated, stub):
+    # A repeated size would print its rows twice and drop the fit.
+    code, out, err = run_cli(
+        ["tts-scan", "--sizes", sizes, "--t-grid", "1", "--seed", "3"]
+        + stub, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"genoq: error: --sizes repeats {repeated}\n"
+
+
 def test_bad_config_exits_three(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("not a pair\n")

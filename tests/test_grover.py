@@ -270,6 +270,17 @@ def test_loading_cost_scan_small():
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 4096])
+def test_loading_scan_genome_draw_equals_choice(n):
+    # The scan gathers bases by byte; choice over the letters gives the same
+    # genome and leaves the generator in the same state.
+    for seed in range(21):
+        gather, choice = np.random.default_rng(seed), np.random.default_rng(seed)
+        genome = grover._BASES[gather.integers(0, 4, size=n)].tobytes().decode()
+        assert genome == "".join(choice.choice(list("ATGC"), size=n))
+        assert gather.integers(0, 2**63) == choice.integers(0, 2**63)
+
+
 def test_loading_cost_all_a_genome_constant_prep():
     # Degenerate data: the state-prep circuit is just the H layer.
     for n in (64, 256):
@@ -336,6 +347,8 @@ def test_slot_evolution_matches_gate_circuits(case, seed):
 @example(("CCCCC", "GG"))  # unpadded, absent key
 @example(("ATGC", "G"))  # unpadded, unique key
 @example(("A", "A"))  # single window, no index qubits
+@example(("GATTC", "GATTC"))  # the window is the whole genome: count = 1
+@example(("CTGCA", "TGCA"))  # M = 4 slices of count = 2 bases each
 def test_circuit_lengths_match_built_circuits(case):
     genome, key = case
     problem = grover.make_problem(build_window_db(genome, len(key)), key)

@@ -81,7 +81,7 @@ def test_brute_force_at_capacity_stays_small():
         tracemalloc.stop()
     assert best_e == -float(len(model.J))
     assert len(best) == 2 and best[1] == tuple(-s for s in best[0])
-    assert peak <= 32 * 2**20
+    assert peak <= 4 * 2**20
 
 
 def reference_enumeration(model):
@@ -117,6 +117,26 @@ def test_brute_force_energy_is_exact_on_real_weights(model):
     assert abs(min(energies) - best_e) <= 1e-12
     for a in best:
         assert abs(energy(model, a) - best_e) <= 1e-12
+
+
+@pytest.mark.parametrize("block", [1, 8, 64])
+@settings(max_examples=40, deadline=None)
+@given(model=st.one_of(quadratic_models(st.floats(-1.0, 1.0), max_n=12),
+                       quadratic_models(st.integers(-2, 2), max_n=12)))
+@example(model=IsingModel(12, (0.0,) * 12))
+@example(model=BinaryModel(7, (0.0,) * 7))
+def test_brute_force_ignores_block_size(block, model):
+    # Blocks of 1, 8 and 64 energies split runs of optima and ties across
+    # block boundaries; the optimum and every optimal row must not move.
+    expected = brute_force(model)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "BLOCK_ENTRIES", block)
+        assert brute_force(model) == expected
+    assignments, energies = reference_enumeration(model)
+    best_e, best = expected
+    assert best_e == energy(model, best[0])
+    assert best == [a for a, e in zip(assignments, energies)
+                    if abs(e - best_e) <= 1e-12]
 
 
 @settings(max_examples=60, deadline=None)
