@@ -133,6 +133,17 @@ def _numbers(flag: str, text, cast) -> list:
     return [_number(flag, item, cast) for item in str(text).split(",")]
 
 
+def _sizes(text) -> list[int]:
+    """The --sizes values: whole numbers >= 1, none repeated."""
+    sizes = _numbers("--sizes", text, int)
+    if min(sizes) < 1:
+        raise ValueError(f"--sizes must be >= 1, got {min(sizes)}")
+    for i, n in enumerate(sizes):
+        if n in sizes[:i]:
+            raise ValueError(f"--sizes repeats {n}")
+    return sizes
+
+
 def _seed(text: str) -> int:
     """A --seed value: numpy seeds are non-negative integers."""
     try:
@@ -233,8 +244,7 @@ def cmd_grover_search(args) -> int:
 
 def cmd_loading_scan(args) -> int:
     _require_seed(args)
-    sizes = _numbers("--sizes", args.sizes, int)
-    scan = grover.loading_cost_scan(sizes, args.window, args.seed)
+    scan = grover.loading_cost_scan(_sizes(args.sizes), args.window, args.seed)
     body = scan.to_csv()
     body += f"# prep_exponent={_fmt(scan.prep_exponent)}\n"
     body += f"# total_exponent={_fmt(scan.total_exponent)}\n"
@@ -353,12 +363,7 @@ def cmd_qubo_solve(args) -> int:
 
 def cmd_tts_scan(args) -> int:
     _require_seed(args)
-    sizes = _numbers("--sizes", args.sizes, int)
-    if min(sizes) < 1:
-        raise ValueError(f"--sizes must be >= 1, got {min(sizes)}")
-    for i, n in enumerate(sizes):
-        if n in sizes[:i]:
-            raise ValueError(f"--sizes repeats {n}")
+    sizes = _sizes(args.sizes)
     t_grid = _numbers("--t-grid", args.t_grid, float)
     rows = ["N,t,p_hat,R,TTS"]
     star_rows = ["N,TTS_star,t_star,boundary_flag"]

@@ -97,12 +97,6 @@ class ReadWindowDatabase:
             codes = (codes << 2) | base[k : k + self.count]
         return codes
 
-    def to_csv(self) -> str:
-        windows = map(self.window_string, range(self.count))
-        lines = ["index,window_string,encoded_bits"]
-        lines += [f"{i},{w},{encode_window(w)}" for i, w in enumerate(windows)]
-        return "\n".join(lines) + "\n"
-
 
 def build_window_db(genome: str, window_length: int) -> ReadWindowDatabase:
     n = len(genome)

@@ -4,12 +4,13 @@ State preparation V entangles each index with its window data, the oracle
 phase-marks states whose data register equals the key, and diffusion is the
 composite V . R0 . Vdag with R0 a sign flip of the all-zeros register.
 
-Searches never leave the span of the slot states |j>|d_j>|f_j>, so they
-evolve one real amplitude per slot (``SlotSpace``). The gate-level circuits
-of ``prepare_circuits`` are kept for circuit dumps and as the reference the
-slot evolution and the closed-form gate counts of ``circuit_lengths`` are
-tested against; the loading-cost scan counts from structure and builds no
-circuit.
+A search with m of its P slots marked never leaves the 2-dimensional span of
+"uniform over the marked slots" and "uniform over the others", so
+``slot_amplitudes`` writes down the P slot amplitudes after k iterations from
+two closed-form values, without iterating. The gate-level circuits of
+``prepare_circuits`` are kept for circuit dumps and as the reference the
+closed form and the gate counts of ``circuit_lengths`` are tested against;
+the loading-cost scan counts from structure and builds no circuit.
 """
 
 from __future__ import annotations
@@ -183,52 +184,27 @@ def success_probability(problem: SearchProblem, state: StateVector) -> float:
     return float((np.abs(state.amplitudes[_match_mask(problem)]) ** 2).sum())
 
 
-@dataclass(frozen=True)
-class SlotSpace:
-    """The span of the search's slot states |j>|d_j>|f_j>, one per index j.
+def slot_amplitudes(problem: SearchProblem, iterations: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The window codes, the marked slots (window code == key code) and the
+    P slot amplitudes after ``iterations`` Grover iterations, norm-checked.
 
-    V|0> is uniform over the slots, the oracle flips the sign of the marked
-    ones and diffusion V.R0.Vdag = I - 2|psi0><psi0| keeps the span, so a
-    real vector of one amplitude per slot carries the whole search. Slot j
-    is the full-register basis state ``basis[j]``; ``marked`` holds the real
-    slots whose window equals the key.
+    With m of the P slots marked and sin^2(theta) = m/P, k iterations leave
+    sin((2k+1)theta)/sqrt(m) on each marked slot and cos((2k+1)theta)/sqrt(P-m)
+    on each other one (Boyer, Brassard, Hoyer and Tapp 1998), times (-1)^k:
+    diffusion as built, V.R0.Vdag = I - 2|psi0><psi0|, is the negative of the
+    textbook 2|psi0><psi0| - I. Padding slots are never marked.
     """
-
-    basis: np.ndarray
-    marked: np.ndarray
-
-    def prepare(self) -> np.ndarray:
-        """The slot amplitudes of V|0>, norm-checked."""
-        amps = np.full(self.basis.size, 1.0 / math.sqrt(self.basis.size))
-        sim.check_norm(amps, "after state preparation")
-        return amps
-
-    def iterate(self, amps: np.ndarray, iterations: int) -> np.ndarray:
-        """``iterations`` rounds of O then V.R0.Vdag in place, each norm-checked."""
-        for k in range(iterations):
-            amps[self.marked] *= -1
-            amps -= 2 * amps.sum() / amps.size
-            sim.check_norm(amps, f"after iteration {k + 1}")
-        return amps
-
-    def evolve(self, iterations: int) -> np.ndarray:
-        return self.iterate(self.prepare(), iterations)
-
-
-def build_slot_space(problem: SearchProblem) -> SlotSpace:
-    """The slot space of ``problem``; CapacityError past ``sim.MAX_QUBITS``."""
-    layout = problem.layout
-    _check_capacity(layout)
-    db = problem.db
-    table = db.codes()
-    marked = np.flatnonzero(table == problem.key_code)
-    if db.has_padding:
-        # Padding slots load window 0 and set the flag, so they never match.
-        pad = table[0] | 1 << layout.flag_qubit
-        table = np.append(table, np.full(db.padded_size - db.count, pad))
-    low = layout.data_qubits + layout.flag_qubits
-    basis = (np.arange(db.padded_size, dtype=np.int64) << low) | table
-    return SlotSpace(basis=basis, marked=marked)
+    codes = problem.db.codes()
+    marked = np.flatnonzero(codes == problem.key_code)
+    p, m = problem.db.padded_size, marked.size
+    angle = (2 * iterations + 1) * math.asin(math.sqrt(m / p))
+    sign = -1.0 if iterations % 2 else 1.0
+    amps = np.full(p, sign * math.cos(angle) / math.sqrt(p - m) if m < p else 0.0)
+    if m:
+        amps[marked] = sign * math.sin(angle) / math.sqrt(m)
+    sim.check_norm(amps, f"in the slot amplitudes after {iterations} iterations")
+    return codes, marked, amps
 
 
 def decode_outcome(problem: SearchProblem, bits: str) -> tuple[int, str]:
@@ -242,27 +218,35 @@ def decode_outcome(problem: SearchProblem, bits: str) -> tuple[int, str]:
 
 def run_search(problem: SearchProblem, iterations: int, shots: int,
                seed: int) -> GroverRun:
-    """Evolve V|0> through ``iterations`` Grover iterations, then sample.
+    """Take V|0> through ``iterations`` Grover iterations, then sample.
 
     Shots are drawn over the slots exactly as ``sim.sample`` draws them over
-    the full register, where every other basis state has amplitude zero.
+    the full register, where every other basis state has amplitude zero; slot
+    j is the basis state (j << low) | code_j, and a padding slot holds window
+    0's code plus the flag.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    space = build_slot_space(problem)
-    amps = space.evolve(iterations)
+    layout = problem.layout
+    _check_capacity(layout)
+    codes, marked, amps = slot_amplitudes(problem, iterations)
     p = amps ** 2
     counts = sim.draw_counts(p, seed, shots)
-    n = problem.layout.total
-    histogram = {bitstring(int(space.basis[j]), n): c for j, c in counts}
-    matched = {j for j, _ in counts} & set(space.marked.tolist())
+    low = layout.data_qubits + layout.flag_qubits
+    pad = int(codes[0]) | 1 << layout.flag_qubit if problem.db.has_padding else 0
+    histogram = {
+        bitstring(j << low | (int(codes[j]) if j < codes.size else pad),
+                  layout.total): c
+        for j, c in counts
+    }
+    matched = {j for j, _ in counts} & set(marked.tolist())
     matches = [
         {"index": i, "window": problem.db.window_string(i)}
         for i in sorted(matched)
     ]
     return GroverRun(
         iterations=iterations,
-        p_exact=float(p[space.marked].sum()),
+        p_exact=float(p[marked].sum()),
         histogram=histogram,
         matched_indices=matched,
         matches=matches,

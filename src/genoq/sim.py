@@ -2,7 +2,7 @@
 
 Circuits run gate by gate (``apply_gate``, ``run_circuit``); measurement is
 emulated by a seeded draw (``sample``), which ``draw_counts`` shares with
-searches that evolve only a subspace of the register.
+Grover searches that write their slot amplitudes down in closed form.
 
 Qubit 0 is the rightmost bit of a printed bitstring (little-endian), so
 basis index ``i`` has qubit ``k`` equal to ``(i >> k) & 1``.

@@ -79,6 +79,15 @@ def _check_finite_energies(model: Model) -> None:
                          "is not finite")
 
 
+def _arrays(model: Model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fields h, the coupling pairs (one (i, j) row each) and their
+    weights w, as float and index arrays in ``J`` order."""
+    h = np.asarray(model.h, dtype=float)
+    pairs = np.array(list(model.J), dtype=np.intp).reshape(-1, 2)
+    w = np.fromiter(model.J.values(), dtype=float, count=len(model.J))
+    return h, pairs, w
+
+
 def _assignments(index: np.ndarray, n: int, spin: bool) -> np.ndarray:
     """Row r holds the n variable values of flat index index[r] (bit i = var i)."""
     bits = (index[:, None] >> np.arange(n)) & 1
@@ -104,10 +113,9 @@ def brute_force(model: Model) -> tuple[float, list[tuple[int, ...]]]:
     _check_finite_energies(model)
     spin = model.spin
     a = (n + 1) // 2
+    h, pairs, w = _arrays(model)
     W = np.zeros((n, n))
-    for (i, j), w in model.J.items():
-        W[i, j] = w
-    h = np.asarray(model.h, dtype=float)
+    W[pairs[:, 0], pairs[:, 1]] = w
     lo = _assignments(np.arange(1 << a), a, spin).astype(float)
     hi = _assignments(np.arange(1 << (n - a)), n - a, spin).astype(float)
     e_lo = lo @ h[:a] + ((lo @ W[:a, :a]) * lo).sum(axis=1)
@@ -133,9 +141,7 @@ def _energies(model: Model, values: np.ndarray) -> np.ndarray:
     """``energy`` of every row of ``values``, bit for bit: its terms and
     products, summed left to right (``accumulate``) in its order, over blocks
     of rows of about ``BLOCK_ENTRIES`` terms."""
-    h = np.asarray(model.h, dtype=float)
-    pairs = np.array(list(model.J), dtype=np.intp).reshape(-1, 2)
-    w = np.fromiter(model.J.values(), dtype=float, count=len(model.J))
+    h, pairs, w = _arrays(model)
     rows = max(1, BLOCK_ENTRIES // (1 + len(h) + len(w)))
     energies = []
     for start in range(0, len(values), rows):
@@ -191,9 +197,7 @@ def _anneal(model: Model, nbrs: list[list[tuple[int, float]]],
     spin = model.spin
     bits = rng.integers(0, 2, size=(runs, n))
     start_vals = 2 * bits - 1 if spin else bits
-    h = np.asarray(model.h, dtype=float)
-    pairs = np.array(list(model.J), dtype=np.intp).reshape(-1, 2)
-    w = np.fromiter(model.J.values(), dtype=float, count=len(model.J))
+    h, pairs, w = _arrays(model)
     start_fields = np.tile(h, (runs, 1))
     # Coupling (i, j) adds w * v_j to f_i, then w * v_i to f_j.
     np.add.at(start_fields, (slice(None), pairs.ravel()),

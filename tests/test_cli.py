@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 import tracemalloc
@@ -95,6 +96,61 @@ def test_grover_search_agreement(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["classical_scan"] == [0, 3]
     assert payload["agreement"] is True
+
+
+# Histograms, matches and classical_scan recorded while searches still
+# iterated one amplitude per slot: a padded database with a repeated key, a
+# 19-qubit wide-data database with a unique key, and an absent key.
+GROVER_GOLDEN = [
+    ("ATGATGCCATG", "ATG", "7", [], {
+        "iterations": 1,
+        "histogram": {
+            "00000000110": 339, "00010011000": 5, "00100100001": 5,
+            "00110000110": 320, "01000011011": 7, "01010101111": 1,
+            "01100111100": 1, "10000000110": 325, "10011000110": 2,
+            "10101000110": 4, "10111000110": 2, "11001000110": 1,
+            "11011000110": 6, "11101000110": 3, "11111000110": 3},
+        "matches": [{"index": 0, "window": "ATG"}, {"index": 3, "window": "ATG"},
+                    {"index": 8, "window": "ATG"}],
+        "classical_scan": [0, 3, 8]}),
+    ("GATTACACCGTGATC", "ACACCGTG", "8", [], {
+        "iterations": 2,
+        "histogram": {
+            "0001000010100110011": 5, "0010001010011001111": 9,
+            "0100101001100111110": 11, "0110100110011111001": 4,
+            "1000011001111100110": 979, "1011100111110011000": 3,
+            "1100011111001100001": 7, "1111111100110000111": 6},
+        "matches": [{"index": 4, "window": "ACACCGTG"}],
+        "classical_scan": [4]}),
+    ("ACGTTGCAAC", "GGG", "9", ["--iterations", "3"], {
+        "iterations": 3,
+        "histogram": {
+            "000001110": 110, "001111001": 143, "010100101": 129,
+            "011010110": 136, "100011011": 124, "101101100": 127,
+            "110110000": 139, "111000011": 116},
+        "matches": [],
+        "classical_scan": []}),
+]
+
+
+@pytest.mark.parametrize("genome, key, seed, extra, golden", GROVER_GOLDEN,
+                         ids=["padded-repeated", "wide-data-unique", "absent"])
+def test_grover_search_golden_output(tmp_path, capsys, genome, key, seed,
+                                     extra, golden):
+    path = tmp_path / "g.txt"
+    path.write_text(genome + "\n")
+    code, out, _ = run_cli(
+        ["grover-search", "--genome", str(path), "--key", key, "--seed", seed,
+         "--no-timestamp"] + extra, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert {k: payload[k] for k in golden} == golden
+    assert payload["agreement"] is True
+    # sin^2((2k+1) theta), sin^2 theta = m/P over the P padded slots.
+    slots = 1 << (len(genome) - len(key)).bit_length()
+    theta = math.asin(math.sqrt(len(golden["classical_scan"]) / slots))
+    expected = math.sin((2 * payload["iterations"] + 1) * theta) ** 2
+    assert abs(payload["p_exact"] - expected) <= 1e-12
 
 
 def test_grover_search_bad_base_exits_three(tmp_path, capsys):
@@ -219,12 +275,31 @@ def test_loading_scan(capsys):
 
 @pytest.mark.parametrize("sizes", ["64", "64,64"])
 def test_loading_scan_needs_two_distinct_sizes(capsys, sizes):
+    # One size fits no exponent; a repeated one is named as the fault.
     code, out, err = run_cli(
         ["loading-scan", "--sizes", sizes, "--seed", "2", "--no-timestamp"],
         capsys)
     assert code == 1
     assert out == ""
-    assert err == "genoq: error: loading scan needs at least two distinct sizes\n"
+    assert err == {
+        "64": "genoq: error: loading scan needs at least two distinct sizes\n",
+        "64,64": "genoq: error: --sizes repeats 64\n",
+    }[sizes]
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ("64,64,128", "--sizes repeats 64"),
+    ("64,128,256,128", "--sizes repeats 128"),
+    ("0,64,128", "--sizes must be >= 1, got 0"),
+    ("-20,64", "--sizes must be >= 1, got -20"),
+])
+def test_loading_scan_bad_sizes_exit_one(capsys, sizes, message):
+    # A repeated size would print a second row from another random genome.
+    code, out, err = run_cli(
+        ["loading-scan", f"--sizes={sizes}", "--seed", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"genoq: error: {message}\n"
 
 
 # Recorded while the scan still built every circuit to count its gates.

@@ -129,11 +129,3 @@ def test_index_qubit_positions():
     layout = layout_for(7, 1)
     # data low, flag, then index qubits.
     assert [layout.index_qubit(j) for j in range(3)] == [3, 4, 5]
-
-
-def test_csv_dump():
-    db = build_window_db("TAT", 2)
-    lines = db.to_csv().splitlines()
-    assert lines[0] == "index,window_string,encoded_bits"
-    assert lines[1] == "0,TA,0100"
-    assert lines[2] == "1,AT,0001"

@@ -79,7 +79,7 @@ def test_state_prep_capacity():
     with pytest.raises(CapacityError):
         grover.build_state_prep(db)
     with pytest.raises(CapacityError, match="qubits, ceiling is 26"):
-        grover.build_slot_space(grover.make_problem(db, "ATGC" * 5))
+        grover.run_search(grover.make_problem(db, "ATGC" * 5), 1, 8, 1)
 
 
 def test_oracle_marks_only_key():
@@ -317,22 +317,29 @@ def search_problems(draw):
 @example(("TATGA", "C"), 2)  # padded, absent key
 @example(("ATGC", "G"), 3)  # unpadded, unique key
 @example(("A", "A"), 4)  # single window, no index qubits
+@example(("AAAA", "A"), 5)  # every slot marked: P = m = 4
 def test_slot_evolution_matches_gate_circuits(case, seed):
     genome, key = case
     problem = grover.make_problem(build_window_db(genome, len(key)), key)
+    db, layout = problem.db, problem.layout
     circuits = grover.prepare_circuits(problem)
-    space = grover.build_slot_space(problem)
-    amps = space.prepare()
-    gates = init_state(problem.layout.total)
+    gates = init_state(layout.total)
     run_circuit(circuits.state_prep, gates)
+    codes = db.codes()
+    # Slot j holds window j; a padding slot holds window 0 and sets the flag.
+    basis = [basis_index(layout, j, int(codes[j if j < db.count else 0]),
+                         flag=int(j >= db.count))
+             for j in range(db.padded_size)]
+    scan = {i for i, _ in grover.classical_scan(db, key)}
     for k in range(5):
         if k:
-            space.iterate(amps, 1)
             run_circuit(circuits.oracle, gates)
             run_circuit(circuits.diffusion, gates)
+        _, marked, amps = grover.slot_amplitudes(problem, k)
+        assert set(marked.tolist()) == scan
         # Embedded in the full register, with zeros off the slot span.
         embedded = np.zeros_like(gates.amplitudes)
-        embedded[space.basis] = amps
+        embedded[basis] = amps
         assert np.max(np.abs(embedded - gates.amplitudes)) <= 1e-12
         run = grover.run_search(problem, iterations=k, shots=64, seed=seed + k)
         assert run.histogram == sim.sample(gates, seed=seed + k, shots=64)
@@ -357,12 +364,12 @@ def test_circuit_lengths_match_built_circuits(case):
         len(v), len(grover.build_oracle(problem)), len(grover.build_diffusion(v)))
 
 
-def test_slot_evolution_detects_norm_drift():
-    space = grover.build_slot_space(toy_problem())
-    amps = space.prepare()
-    amps *= 1.01
-    with pytest.raises(NormalizationError, match="after iteration 1"):
-        space.iterate(amps, 1)
+def test_slot_evolution_detects_norm_drift(monkeypatch):
+    sin = math.sin
+    monkeypatch.setattr(grover.math, "sin", lambda x: 1.01 * sin(x))
+    with pytest.raises(NormalizationError,
+                       match="in the slot amplitudes after 1 iterations"):
+        grover.slot_amplitudes(toy_problem(), 1)
 
 
 @pytest.mark.parametrize("genome, m, qubits", [
@@ -370,11 +377,11 @@ def test_slot_evolution_detects_norm_drift():
     ("ATGCATGCATGCATG", 8, 19),  # the bench's widest-data search shape
 ], ids=["16-qubits", "19-qubits-wide-data"])
 def test_slot_search_memory_ignores_data_width(genome, m, qubits):
-    # The evolution holds a few P-vectors; a 2^n statevector never exists.
+    # The closed form holds a few P-vectors; a 2^n statevector never exists.
     problem = grover.make_problem(build_window_db(genome, m), genome[:m])
     tracemalloc.start()
     try:
-        grover.build_slot_space(problem).evolve(3)
+        grover.slot_amplitudes(problem, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
