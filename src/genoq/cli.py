@@ -133,11 +133,16 @@ def _numbers(flag: str, text, cast) -> list:
     return [_number(flag, item, cast) for item in str(text).split(",")]
 
 
+def _at_least_one(flag: str, values: list[int]) -> list[int]:
+    """``values``, or a ValueError naming ``flag`` when one is below 1."""
+    if min(values) < 1:
+        raise ValueError(f"{flag} must be >= 1, got {min(values)}")
+    return values
+
+
 def _sizes(text) -> list[int]:
     """The --sizes values: whole numbers >= 1, none repeated."""
-    sizes = _numbers("--sizes", text, int)
-    if min(sizes) < 1:
-        raise ValueError(f"--sizes must be >= 1, got {min(sizes)}")
+    sizes = _at_least_one("--sizes", _numbers("--sizes", text, int))
     for i, n in enumerate(sizes):
         if n in sizes[:i]:
             raise ValueError(f"--sizes repeats {n}")
@@ -157,8 +162,12 @@ def _seed(text: str) -> int:
 
 
 def _whole(text: str) -> int:
-    """A size written as an integer or in float notation (3e9)."""
-    return int(float(text))
+    """A size written as an integer or in float notation (3e9); ValueError
+    unless it is a whole number."""
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError(f"{text!r} is not a whole number")
+    return int(value)
 
 
 def _require_seed(args) -> None:
@@ -268,12 +277,14 @@ def cmd_runtime(args) -> int:
     else:
         hw = runtime.BUILTIN_PROFILES[args.profile]
     n = _number("--N", args.N, _whole)
+    _at_least_one("--N", [n])
+    sweep_sizes = _numbers("--sweep", args.sweep, _whole) if args.sweep else [n]
+    _at_least_one("--sweep", sweep_sizes)
     depth = runtime.max_depth_per_call(n, args.budget, hw)
     estimate = runtime.quantum_runtime(n, depth, hw)
     classical = runtime.PowerLawModel(args.classical_seconds / n, 1.0)
     quantum = runtime.PowerLawModel(depth / hw.logical_gate_frequency, 0.5)
     lines = ["N,T_classical,T_quantum,crossover_flag"]
-    sweep_sizes = _numbers("--sweep", args.sweep, _whole) if args.sweep else [n]
     for row in runtime.runtime_sweep(sweep_sizes, classical, quantum):
         lines.append(
             f"{row.problem_size},{_fmt(row.t_classical)},"

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .qubo import IsingModel, Model, energy
+from .qubo import MODEL_MAX_VARS, IsingModel, Model, energy
 
 BRUTE_FORCE_MAX_VARS = 25
 
@@ -69,14 +69,15 @@ class SuccessStats:
 BLOCK_ENTRIES = 1 << 15
 
 
-def _check_finite_energies(model: Model) -> None:
-    """ValueError unless the sum of |coefficients| is finite: it bounds every
-    partial sum of every energy, so then none overflows."""
+def _finite_scale(model: Model) -> float:
+    """The sum of |coefficients|, or ValueError when it is not finite: it
+    bounds every partial sum of every energy, so then none overflows."""
     scale = (abs(model.offset) + sum(map(abs, model.h))
              + sum(map(abs, model.J.values())))
     if not math.isfinite(scale):
         raise ValueError("model energies overflow: the sum of |coefficients| "
                          "is not finite")
+    return scale
 
 
 def _arrays(model: Model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,7 +111,7 @@ def brute_force(model: Model) -> tuple[float, list[tuple[int, ...]]]:
         raise CapacityError(
             f"{n} variables exceeds brute-force cap {BRUTE_FORCE_MAX_VARS}"
         )
-    _check_finite_energies(model)
+    _finite_scale(model)
     spin = model.spin
     a = (n + 1) // 2
     h, pairs, w = _arrays(model)
@@ -162,20 +163,52 @@ def _ties(model: Model,
     return best_e, list(map(tuple, values[keep].tolist()))
 
 
-def _neighbor_lists(model: Model) -> list[list[tuple[int, float]]]:
-    nbrs: list[list[tuple[int, float]]] = [[] for _ in range(model.n)]
+@dataclass(frozen=True)
+class PreparedModel:
+    """What the SA kernel reads of a model, built once by ``prepare``.
+
+    A variable's step is the change its flip makes: +-2 for a spin, +-1 for
+    a bit. ``rises[i]`` holds (j, w_ij * |step|) for each neighbour j of i,
+    the add to f_j when x_i steps up, and ``falls[i]`` the same negated.
+    ``exact`` is true when every coefficient is an integer and 4 * sum of
+    |coefficients| < 2^53: then every field, dE and running energy is an
+    exactly represented integer, equal to ``energy`` of its state."""
+
+    model: Model
+    h: np.ndarray
+    pairs: np.ndarray
+    w: np.ndarray
+    rises: list[list[tuple[int, float]]]
+    falls: list[list[tuple[int, float]]]
+    exact: bool
+
+
+def prepare(model: Model) -> PreparedModel:
+    """The SA kernel's per-model inputs; ValueError when the model's
+    energies can overflow."""
+    scale = _finite_scale(model)
+    size = 2 if model.spin else 1
+    rises: list[list[tuple[int, float]]] = [[] for _ in range(model.n)]
+    falls: list[list[tuple[int, float]]] = [[] for _ in range(model.n)]
     for (i, j), w in model.J.items():
-        nbrs[i].append((j, w))
-        nbrs[j].append((i, w))
-    return nbrs
+        # Scaling by a power of two and negating are exact: these adds are
+        # bit for bit w * step.
+        up = w * size
+        rises[i].append((j, up))
+        falls[i].append((j, -up))
+        rises[j].append((i, up))
+        falls[j].append((i, -up))
+    coefficients = (model.offset, *model.h, *model.J.values())
+    exact = (4 * scale < 2.0**53
+             and all(float(c).is_integer() for c in coefficients))
+    return PreparedModel(model, *_arrays(model), rises, falls, exact)
 
 
 SWEEPS_PER_DRAW = 8  # sweeps whose randomness one pair of draws supplies
 
 
-def _anneal(model: Model, nbrs: list[list[tuple[int, float]]],
-            schedule: AnnealSchedule, rng: np.random.Generator, runs: int,
-            stop: float | None = None
+def _anneal(prepared: PreparedModel, schedule: AnnealSchedule,
+            rng: np.random.Generator, runs: int, stop: float | None = None
             ) -> list[tuple[list[int], list[float], bool]]:
     """``runs`` Metropolis runs with incremental local-field dE, each on plain
     Python lists (much faster to index than numpy scalars), from one
@@ -188,16 +221,20 @@ def _anneal(model: Model, nbrs: list[list[tuple[int, float]]],
     run. A move is accepted iff dE <= 0 or dE is below its limit, which has
     probability exp(-beta * dE): Metropolis.
 
-    Start fields and energies are summed in ``J`` order, as term-by-term
-    Python sums would be. Returns, per run, the best assignment, the
-    best-so-far energy per sweep run, and whether the run stopped early:
-    given a ``stop``, it does at the first new best whose ``energy`` is <=
-    ``stop``, as no later draw can undo that hit."""
+    A run keeps each variable's step, not its value, and negates it on a
+    flip. Start fields and energies are summed in ``J`` order, as
+    term-by-term Python sums would be. Returns, per run, the best
+    assignment, the best-so-far energy per sweep run, and whether the run
+    stopped early: given a ``stop``, it does at the first new best at or
+    below ``stop`` (by ``energy``, unless the model is ``exact``), as no
+    later draw can undo that hit."""
+    model, exact = prepared.model, prepared.exact
+    rises, falls = prepared.rises, prepared.falls
     n = model.n
     spin = model.spin
     bits = rng.integers(0, 2, size=(runs, n))
     start_vals = 2 * bits - 1 if spin else bits
-    h, pairs, w = _arrays(model)
+    h, pairs, w = prepared.h, prepared.pairs, prepared.w
     start_fields = np.tile(h, (runs, 1))
     # Coupling (i, j) adds w * v_j to f_i, then w * v_i to f_j.
     np.add.at(start_fields, (slice(None), pairs.ravel()),
@@ -206,9 +243,14 @@ def _anneal(model: Model, nbrs: list[list[tuple[int, float]]],
     terms = np.zeros((runs, n + 1))
     terms[:, 1:] = start_vals * (h + start_fields)
     start_e = float(model.offset) + 0.5 * np.add.accumulate(terms, axis=1)[:, -1]
-    vals, fields = start_vals.tolist(), start_fields.tolist()
-    energies = start_e.tolist()
-    results = [(v[:], [], False) for v in vals]
+
+    def values(steps: list[int]) -> list[int]:
+        return ([-d // 2 for d in steps] if spin
+                else [(1 - d) // 2 for d in steps])
+
+    steps = (-2 * start_vals if spin else 1 - 2 * start_vals).tolist()
+    fields, energies = start_fields.tolist(), start_e.tolist()
+    results = [(d[:], [], False) for d in steps]
     live = list(range(runs))
     for s in range(0, schedule.sweeps, SWEEPS_PER_DRAW):
         betas = schedule.betas(s, min(s + SWEEPS_PER_DRAW, schedule.sweeps))
@@ -216,25 +258,25 @@ def _anneal(model: Model, nbrs: list[list[tuple[int, float]]],
         block_targets = rng.integers(0, n, size=(runs, k, n))
         block_limits = rng.standard_exponential((runs, k, n)) / betas[:, None]
         for r in live:
-            v, f, e = vals[r], fields[r], energies[r]
+            d, f, e = steps[r], fields[r], energies[r]
             best, trace, _ = results[r]
             best_e = trace[-1] if trace else e
             hit = False
             for sweep_targets, sweep_limits in zip(block_targets[r].tolist(),
                                                    block_limits[r].tolist()):
                 for t, limit in zip(sweep_targets, sweep_limits):
-                    old = v[t]
-                    step = -2 * old if spin else 1 - 2 * old
+                    step = d[t]
                     delta = step * f[t]
                     if delta <= 0.0 or delta < limit:
-                        v[t] = old + step
+                        d[t] = -step
                         e += delta
-                        for j, wt in nbrs[t]:
-                            f[j] += wt * step
+                        for j, df in (rises if step > 0 else falls)[t]:
+                            f[j] += df
                         if e < best_e:
-                            best_e, best = e, v[:]
+                            best_e, best = e, d[:]
                             if (stop is not None and e <= stop
-                                    and energy(model, best) <= stop):
+                                    and (exact or energy(model, values(best))
+                                         <= stop)):
                                 hit = True
                                 break
                 trace.append(best_e)
@@ -245,45 +287,56 @@ def _anneal(model: Model, nbrs: list[list[tuple[int, float]]],
         live = [r for r in live if not results[r][2]]
         if not live:
             break
-    return results
+    return [(values(best), trace, hit) for best, trace, hit in results]
 
 
 def simulated_annealing(model: Model, schedule: AnnealSchedule,
                         seed) -> SolverRun:
     """Metropolis single-variable updates with incremental local-field dE."""
-    _check_finite_energies(model)
-    [(best, trace, _)] = _anneal(model, _neighbor_lists(model), schedule,
+    [(best, trace, _)] = _anneal(prepare(model), schedule,
                                  np.random.default_rng(seed), 1)
     best = tuple(best)
     return SolverRun(best, energy(model, best), trace)
 
 
-def estimate_success_probability(model: Model, schedule: AnnealSchedule,
-                                 runs: int, threshold: float,
-                                 seed: int) -> SuccessStats:
+def estimate_success_probability(model: Model | PreparedModel,
+                                 schedule: AnnealSchedule, runs: int,
+                                 threshold: float, seed: int) -> SuccessStats:
     """``runs`` SA runs from one generator seeded with ``seed``; success iff
-    best energy <= threshold.
+    best energy <= threshold. ``model`` may come already prepared, so that a
+    curve of estimates prepares its model once.
 
     A run stops at its first confirmed hit, since the rest of its schedule
     cannot undo it, and no other run's draws move when it does; TTS still
-    charges each run its full sweep count.
+    charges each run its full sweep count. On an ``exact`` model a run's
+    best-so-far energy (its start's included) is its best state's
+    ``energy``, so it decides success without calling ``energy``.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    _check_finite_energies(model)
+    prepared = model if isinstance(model, PreparedModel) else prepare(model)
     stop = threshold + 1e-9
-    results = _anneal(model, _neighbor_lists(model), schedule,
-                      np.random.default_rng(seed), runs, stop)
-    successes = sum(hit or energy(model, best) <= stop
-                    for best, _, hit in results)
+    results = _anneal(prepared, schedule, np.random.default_rng(seed), runs,
+                      stop)
+    if prepared.exact:
+        successes = sum(hit or trace[-1] <= stop for _, trace, hit in results)
+    else:
+        successes = sum(hit or energy(prepared.model, best) <= stop
+                        for best, _, hit in results)
     return SuccessStats(runs=runs, successes=successes, threshold=threshold)
 
 
 def planted_ferromagnet(n: int, density: float, seed: int) -> IsingModel:
     """Random-sign planted Ising glass: couplings -s*_i s*_j on a random
-    graph, so the planted configuration is a certified ground state."""
+    graph, so the planted configuration is a certified ground state.
+    CapacityError, before anything is allocated, when its n(n-1)/2 candidate
+    couplings exceed ``MODEL_MAX_VARS``."""
     if not 0 <= density <= 1:
         raise ValueError(f"density must be in [0, 1], got {density!r}")
+    pairs = n * (n - 1) // 2
+    if pairs > MODEL_MAX_VARS:
+        raise CapacityError(f"planted glass of {n} spins has {pairs} candidate "
+                            f"couplings, over the model-size cap {MODEL_MAX_VARS}")
     rng = np.random.default_rng(seed)
     planted = rng.choice([-1, 1], size=n)
     i, j = np.triu_indices(n, 1)

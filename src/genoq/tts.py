@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import UnboundedRepetitionsError
 from .qubo import Model
-from .solvers import AnnealSchedule, estimate_success_probability
+from .solvers import AnnealSchedule, estimate_success_probability, prepare
 
 
 def repetitions_needed(p_hat: float, p_d: float) -> int:
@@ -81,15 +81,18 @@ def sa_probability_estimator(model: Model, threshold: float, runs: int,
     """p_estimator backed by seeded simulated-annealing batches.
 
     t is a sweep count, so the estimator raises ValueError unless t is a
-    whole number >= 1: TTS = R x t must count sweeps that were run.
+    whole number >= 1: TTS = R x t must count sweeps that were run. The
+    model is prepared once, for every t.
     """
+    prepared = prepare(model)
+
     def estimate(t: float) -> float:
         if not (t >= 1 and float(t).is_integer()):
             raise ValueError(
                 f"SA run time t must be a whole number of sweeps >= 1, got {t:g}")
         schedule = AnnealSchedule(sweeps=int(t))
         stats = estimate_success_probability(
-            model, schedule, runs=runs, threshold=threshold,
+            prepared, schedule, runs=runs, threshold=threshold,
             seed=seed + int(t),
         )
         return stats.p_hat

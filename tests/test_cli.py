@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genoq import grover, qubo, solvers
+from genoq import grover, qubo, solvers, tts
 from genoq.cli import main
 
 
@@ -237,9 +237,11 @@ def test_runtime_sweep_rows(capsys):
     (["runtime", "--N", "inf"], "--N", "inf"),
     (["runtime", "--N", "1,2"], "--N", "1,2"),
     (["runtime", "--N", "1e3", "--freq", "10xHz"], "--freq", "10xHz"),
+    (["runtime", "--N", "1.5"], "--N", "1.5"),
+    (["runtime", "--N", "100", "--sweep", "1.5"], "--sweep", "1.5"),
 ], ids=["loading-sizes", "tts-sizes", "tts-t-grid", "runtime-sweep",
         "runtime-sweep-inf", "runtime-N", "runtime-N-inf", "runtime-N-list",
-        "runtime-freq"])
+        "runtime-freq", "runtime-N-fraction", "runtime-sweep-fraction"])
 def test_bad_number_in_flag_exits_three(capsys, argv, flag, value):
     code, out, err = run_cli(argv + ["--seed", "1", "--no-timestamp"], capsys)
     assert code == 3
@@ -256,6 +258,19 @@ def test_single_size_from_config(tmp_path, capsys):
          "--no-timestamp"], capsys)
     assert code == 0
     assert out.endswith("N,TTS_star,t_star,boundary_flag\n8,20,4,1\n")
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["--N", "0"], "--N", 0),
+    (["--N", "100", "--sweep", "-5"], "--sweep", -5),
+    (["--N", "100", "--sweep", "0"], "--sweep", 0),
+    (["--N", "100", "--sweep", "1e3,0"], "--sweep", 0),
+])
+def test_runtime_size_below_one_exits_one(capsys, argv, flag, value):
+    code, out, err = run_cli(["runtime", *argv, "--no-timestamp"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"genoq: error: {flag} must be >= 1, got {value}\n"
 
 
 def test_runtime_infeasible_budget_exits_one(capsys):
@@ -714,6 +729,26 @@ def test_tts_scan_golden_output_without_brute_force(capsys, monkeypatch):
     assert out == TTS_GOLDEN
 
 
+def test_tts_scan_prepares_each_model_once(capsys, monkeypatch):
+    # Every preparation builds the model's arrays once; every t's estimate
+    # still goes through estimate_success_probability.
+    calls = {}
+    for module, name in ((solvers, "_arrays"),
+                         (tts, "estimate_success_probability")):
+        def counted(*args, name=name, original=getattr(module, name),
+                    **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    code, out, _ = run_cli(
+        ["tts-scan", "--sizes", "8,10,12", "--t-grid", "1,2,4,8,16",
+         "--runs", "8", "--seed", "5", "--no-timestamp"], capsys)
+    assert code == 0
+    assert out == TTS_GOLDEN
+    assert calls == {"_arrays": 3, "estimate_success_probability": 15}
+
+
 # The same, at the benchmark's t grid and run count.
 TTS_GOLDEN_BENCH_SHAPE = """\
 # command=tts-scan
@@ -980,7 +1015,10 @@ def test_config_defaults_do_not_leak_into_later_calls(tmp_path, capsys):
     (["qubo-build", "--problem", "knapsack", "--input", "{path}"],
      json.dumps({"values": [1] * 1500, "weights": [1] * 1500,
                  "capacity": 3})),
-], ids=["model-file", "model-file-sa", "max-cut", "phasing", "mis", "knapsack"])
+    (["tts-scan", "--sizes", "100000", "--t-grid", "1", "--runs", "1",
+      "--seed", "1"], ""),
+], ids=["model-file", "model-file-sa", "max-cut", "phasing", "mis", "knapsack",
+        "tts-scan"])
 def test_model_over_size_cap_exits_two(tmp_path, capsys, argv, text):
     # Each is refused before anything the size of the model is allocated.
     path = tmp_path / "input"

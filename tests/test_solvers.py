@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -287,7 +288,7 @@ def test_sa_golden_outputs(cls):
 
 def full_runs(model, schedule, runs, seed):
     """The estimator's runs, from its generator, each annealed to the end."""
-    return solvers._anneal(model, solvers._neighbor_lists(model), schedule,
+    return solvers._anneal(solvers.prepare(model), schedule,
                            np.random.default_rng(seed), runs)
 
 
@@ -324,7 +325,7 @@ def test_run_trace_does_not_change_when_other_runs_stop():
     model = random_model(np.random.default_rng(3), 12)
     schedule = AnnealSchedule(sweeps=30)
     ground, _ = brute_force(model)
-    stopped = solvers._anneal(model, solvers._neighbor_lists(model), schedule,
+    stopped = solvers._anneal(solvers.prepare(model), schedule,
                               np.random.default_rng(6), 24, stop=ground + 1e-9)
     full = full_runs(model, schedule, 24, seed=6)
     assert 0 < sum(hit for _, _, hit in stopped) < 24
@@ -355,6 +356,62 @@ def test_success_probability_equals_full_sa_runs(model, shift, sweeps, runs,
         energy(model, best) <= ground + shift + 1e-9 for best, _, _ in full)
     if shift < 0:
         assert stats.successes == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=st.sampled_from([1.0, 0.5]).flatmap(lambda unit: quadratic_models(
+           st.integers(-8, 8).map(lambda k: k * unit), max_n=8)),
+       threshold=st.sampled_from(["start", -0.5, 0.0, 0.5, 2.0]),
+       sweeps=st.integers(1, 20), runs=st.integers(1, 6),
+       seed=st.integers(0, 2**31 - 1))
+def test_exact_shortcut_counts_the_confirmed_successes(model, threshold, sweeps,
+                                                       runs, seed):
+    # On an integer model the running energy decides hits and successes
+    # without ``energy``; with confirmation forced on, the same runs succeed.
+    # A threshold at run 0's start energy is met before any move.
+    prepared = solvers.prepare(model)
+    coefficients = (model.offset, *model.h, *model.J.values())
+    assert prepared.exact == all(c == int(c) for c in coefficients)
+    if threshold == "start":
+        bits = np.random.default_rng(seed).integers(0, 2, size=(runs, model.n))
+        threshold = energy(model, (2 * bits[0] - 1 if model.spin
+                                   else bits[0]).tolist())
+    else:
+        threshold += brute_force(model)[0]
+    schedule = AnnealSchedule(sweeps=sweeps)
+    stats = estimate_success_probability(prepared, schedule, runs, threshold,
+                                         seed)
+    confirmed = estimate_success_probability(
+        dataclasses.replace(prepared, exact=False), schedule, runs, threshold,
+        seed)
+    assert stats == confirmed
+
+
+@pytest.mark.parametrize("model, exact", [
+    (random_model(np.random.default_rng(8), 10), False),
+    (IsingModel(3, (2.0**51, 1.0, -1.0), {(0, 1): 1.0, (1, 2): -2.0}), False),
+    (IsingModel(3, (2.0**50, 1.0, -1.0), {(0, 1): 1.0, (1, 2): -2.0}), True),
+    (planted_ferromagnet(10, density=0.5, seed=1), True),
+], ids=["real", "integer-past-bound", "integer-within-bound", "planted"])
+def test_only_exact_models_skip_energy(monkeypatch, model, exact):
+    # Real weights, or integers with 4 * sum of |coefficients| >= 2^53, need
+    # ``energy`` to confirm each run: at least one call per run.
+    assert solvers.prepare(model).exact == exact
+    ground, _ = brute_force(model)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return energy(*args)
+
+    monkeypatch.setattr(solvers, "energy", counted)
+    stats = estimate_success_probability(
+        model, AnnealSchedule(sweeps=5), runs=30, threshold=ground, seed=13)
+    assert stats.successes > 0
+    if exact:
+        assert calls == []
+    else:
+        assert len(calls) >= 30
 
 
 def test_success_probability_stops_runs_at_first_hit(monkeypatch):
@@ -452,6 +509,14 @@ def test_planted_ground_is_minus_coupling_count(n, density, seed):
 def test_planted_ferromagnet_rejects_density_outside_unit_interval(density):
     with pytest.raises(ValueError, match="density must be in"):
         planted_ferromagnet(8, density, seed=1)
+
+
+def test_planted_ferromagnet_over_size_cap():
+    # 1449 spins have 1049076 candidate couplings, past the 2^20 cap; 1448
+    # spins have 1047628.
+    with pytest.raises(CapacityError, match="1049076 candidate couplings"):
+        planted_ferromagnet(1449, density=0.5, seed=1)
+    assert planted_ferromagnet(1448, density=0.0, seed=1).J == {}
 
 
 def nested_loop_planted_couplings(n, density, seed):
