@@ -369,10 +369,18 @@ def read_model(text: str) -> Model:
 
     Anything else that ``write_model`` cannot have written raises ParseError:
     a bad header, a term line that is not ``i j value`` with 0 <= i <= j < n,
-    a repeated term, or a non-finite number.
+    a repeated term, a non-finite number, or a non-ASCII character or ``_``
+    outside a comment (``int`` and ``float`` read ``1_0`` as 10 and take
+    non-ASCII digits).
     """
-    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1)
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1)
              if ln.strip() and not ln.lstrip().startswith("#")]
+    if not text.isascii() or "_" in text:
+        for no, ln in lines:
+            if not ln.isascii() or "_" in ln:
+                raise ParseError(f"line {no}: only ASCII characters other "
+                                 f"than '_' may appear outside a comment")
+    lines = [(no, ln.split()) for no, ln in lines]
     if not lines:
         raise ParseError("empty model file")
     no, header = lines[0]

@@ -507,9 +507,16 @@ def test_qubo_solve_sa(tmp_path, capsys):
     ("NOPE 2 0 spin\n", "line 1: bad model header"),
     ("QUBO 0 0 spin\n", "model needs at least one variable"),
     ("QUBO two 0 spin\n", "bad model header"),
+    # int() and float() would read these as J = 10, n = 16 and h = 1, and
+    # split() would read "0 1 1" past the no-break space.
+    ("QUBO 2 0 spin\n0 1 1_0\n", "line 2: only ASCII characters other than '_'"),
+    ("QUBO 1_6 0 binary\n", "line 1: only ASCII characters other than '_'"),
+    ("QUBO 2 0 spin\n# ok\n0 0 \u0661\n", "line 3: only ASCII characters"),
+    ("QUBO 2 0 spin\n0\u00a01 1\n", "line 2: only ASCII characters"),
 ], ids=["empty", "index-above-n", "negative-index", "i-above-j", "repeated-coupling",
         "repeated-field", "two-fields", "nan", "bad-magic", "zero-variables",
-        "bad-n"])
+        "bad-n", "underscore-value", "underscore-header", "arabic-indic-digit",
+        "no-break-space"])
 def test_qubo_solve_malformed_model_exits_three(tmp_path, capsys, text, message):
     model_file = tmp_path / "m.qubo"
     model_file.write_text(text)
@@ -517,6 +524,35 @@ def test_qubo_solve_malformed_model_exits_three(tmp_path, capsys, text, message)
     assert code == 3
     assert out == ""
     assert err.startswith("genoq: parse error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_qubo_solve_model_comments_may_hold_any_text(tmp_path, capsys):
+    model_file = tmp_path / "m.qubo"
+    model_file.write_text("# snake_case note, \u0661 and \u00e9\nQUBO 2 0 spin\n"
+                          "  # 0 1 1_0\n0 1 -1\n")
+    code, out, _ = run_cli(["qubo-solve", "--model", str(model_file),
+                            "--no-timestamp"], capsys)
+    assert code == 0
+    assert json.loads(out)["optimal_assignments"] == [[-1, -1], [1, 1]]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--beta-end", "inf"], ["--beta-start", "inf", "--beta-end", "inf"],
+    ["--beta-start", "nan"], ["--beta-start", "1e-320"],
+    ["--beta-start", "3e-308", "--beta-end", "3e-308"]],
+    ids=["end-inf", "both-inf", "start-nan", "start-subnormal", "start-tiny"])
+def test_qubo_solve_sa_bad_beta_exits_one(tmp_path, capsys, flags):
+    # An infinite beta_end annealed on 0 * inf and wrote "beta_end": Infinity;
+    # an Exp(1) draw over a tiny beta_start overflowed.
+    model_file = tmp_path / "m.qubo"
+    model_file.write_text("QUBO 3 0 spin\n0 1 -1\n1 2 -1\n")
+    code, out, err = run_cli(["qubo-solve", "--model", str(model_file),
+                              "--solver", "sa", "--seed", "1", "--sweeps", "2000",
+                              *flags], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("genoq: error: need 1e-300 <= beta_start <= beta_end")
     assert err.count("\n") == 1
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -107,10 +108,24 @@ def test_brute_force_equals_reference_on_exact_weights(model):
     assert best == [a for a, e in zip(assignments, energies) if e == ground]
 
 
+# Its optima's energies, -5.666666666666667 and -5.666666666666666, lie in
+# high rows 4, 5 and 6.
+NEAR_TIE_THIRDS = IsingModel(6, (2 / 3, -1.0, -4 / 3, 4 / 3, 4 / 3, -2 / 3),
+                             {(0, 1): 2 / 3, (0, 5): 2 / 3, (3, 4): 4 / 3}, 2 / 3)
+
+
 @settings(max_examples=80, deadline=None)
-@given(model=quadratic_models(st.floats(-1.0, 1.0), max_n=14))
+@given(model=st.one_of(
+    quadratic_models(st.floats(-1.0, 1.0), max_n=14),
+    quadratic_models(st.integers(-9, 9).map(lambda k: k / 3), max_n=14),
+    quadratic_models(st.integers(-9, 9).map(lambda k: k / 10), max_n=14)))
 @example(model=IsingModel(1, (0.1,), {}, 0.3))
 @example(model=BinaryModel(2, (1e-12, -1.0), {}, 1.0))
+# Near ties: optima whose ``energy`` differs in the last bits, such as
+# -0.1 - 0.2 at (1, 1, 0) and -0.3 at (0, 0, 1), in different high rows.
+@example(model=BinaryModel(3, (-0.1, -0.2, -0.3), {(0, 2): 0.3, (1, 2): 0.3}))
+@example(model=IsingModel(3, (-0.1, 0.1, -0.2), {(0, 1): 0.1, (0, 2): 0.2}, -0.3))
+@example(model=NEAR_TIE_THIRDS)
 def test_brute_force_energy_is_exact_on_real_weights(model):
     _, energies = reference_enumeration(model)
     best_e, best = brute_force(model)
@@ -120,15 +135,30 @@ def test_brute_force_energy_is_exact_on_real_weights(model):
         assert abs(energy(model, a) - best_e) <= 1e-12
 
 
-@pytest.mark.parametrize("block", [1, 8, 64])
+@pytest.mark.parametrize("block", [1, 8, 64, "row"])
 @settings(max_examples=40, deadline=None)
 @given(model=st.one_of(quadratic_models(st.floats(-1.0, 1.0), max_n=12),
                        quadratic_models(st.integers(-2, 2), max_n=12)))
 @example(model=IsingModel(12, (0.0,) * 12))
 @example(model=BinaryModel(7, (0.0,) * 7))
+# Optima in different blocks of one high row each: the first and last rows;
+# high rows 1-3 but not 0; a low first row, then the best in the last one;
+# real-weight near ties in rows 4-6; a near tie whose later row computes
+# lower by less than 1e-12, which must not drop the earlier optimum.
+@example(model=chain_ferromagnet(9))
+@example(model=BinaryModel(5, (0.0, 0.0, 0.0, -1.0, -1.0), {(3, 4): 1.0}))
+@example(model=IsingModel(6, (0.0,) * 5 + (-0.5,),
+                          {(i, i + 1): -1.0 for i in range(5)}))
+@example(model=NEAR_TIE_THIRDS)
+@example(model=BinaryModel(5, (1.0, -4 / 3, -1 / 3, 2 / 3, -2 / 3),
+                           {(1, 2): 4 / 3, (1, 3): 4 / 3, (1, 4): 4 / 3,
+                            (2, 3): -4 / 3, (3, 4): 1 / 3}, -1.0))
 def test_brute_force_ignores_block_size(block, model):
     # Blocks of 1, 8 and 64 energies split runs of optima and ties across
-    # block boundaries; the optimum and every optimal row must not move.
+    # block boundaries, and "row" gives each high row (1 << a energies) its
+    # own block; the optimum and every optimal row must not move.
+    if block == "row":
+        block = 1 << (model.n + 1) // 2
     expected = brute_force(model)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "BLOCK_ENTRIES", block)
@@ -183,6 +213,25 @@ def test_schedule_validation():
         AnnealSchedule(sweeps=5, beta_start=2.0, beta_end=1.0)
     with pytest.raises(ValueError):
         AnnealSchedule(sweeps=5, beta_start=0.0)
+
+
+@pytest.mark.parametrize("beta_start, beta_end", [
+    (0.1, math.inf), (math.inf, math.inf), (math.nan, 10.0), (0.1, math.nan),
+    (1e-320, 10.0), (3e-308, 3e-308), (-1.0, 10.0)])
+def test_schedule_rejects_betas_that_are_not_finite_or_too_small(beta_start,
+                                                                 beta_end):
+    # An infinite beta anneals on 0 * inf; 3e-308 is a normal float, but an
+    # Exp(1) draw over it overflows.
+    with pytest.raises(ValueError, match="beta_start <= beta_end < inf"):
+        AnnealSchedule(sweeps=5, beta_start=beta_start, beta_end=beta_end)
+
+
+def test_schedule_accepts_the_extreme_finite_betas():
+    schedule = AnnealSchedule(sweeps=3, beta_start=solvers.MIN_BETA,
+                              beta_end=1.7e308)
+    assert schedule.betas(0, 3)[[0, -1]].tolist() == [solvers.MIN_BETA, 1.7e308]
+    run = simulated_annealing(chain_ferromagnet(4), schedule, seed=1)
+    assert run.best_energy == -3.0
 
 
 def test_schedule_ladders():
