@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, grover, qubo, runtime, solvers, tts
 from .errors import (
@@ -103,9 +104,39 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` nested at ``indent``,
+    byte for byte, for string-keyed dicts, without the far slower
+    pure-Python encoder that ``indent`` selects: strings and keys go through
+    json's C escaper, ints through ``str`` and other scalars through
+    ``json.dumps``, which uses the C encoder."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        keys, values = zip(*sorted(value.items()))
+        items = [f"{encode_basestring_ascii(k)}: {text}"
+                 for k, text in zip(keys, _json_items(values, inner))]
+    elif isinstance(value, (list, tuple)) and value:
+        items = _json_items(value, inner)
+    elif isinstance(value, str):
+        return encode_basestring_ascii(value)
+    else:
+        return str(value) if type(value) is int else json.dumps(value)
+    left, right = "{}" if isinstance(value, dict) else "[]"
+    body = f",\n{inner}".join(items)
+    return f"{left}\n{inner}{body}\n{indent}{right}"
+
+
+def _json_items(values, indent: str) -> list[str]:
+    """The texts of ``values`` nested at ``indent``. No number's text holds
+    ", ", so one call encodes values that are all ints and floats."""
+    if set(map(type, values)) <= {int, float}:
+        return json.dumps(values)[1:-1].split(", ")
+    return [_json_text(x, indent) for x in values]
+
+
 def _emit_json(args, payload: dict) -> None:
     payload = {"meta": _meta(args), **payload}
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(args, _json_text(payload) + "\n")
 
 
 def _csv_header(args) -> list[str]:

@@ -373,17 +373,18 @@ def read_model(text: str) -> Model:
     outside a comment (``int`` and ``float`` read ``1_0`` as 10 and take
     non-ASCII digits).
     """
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1)
-             if ln.strip() and not ln.lstrip().startswith("#")]
     if not text.isascii() or "_" in text:
-        for no, ln in lines:
-            if not ln.isascii() or "_" in ln:
+        for no, ln in enumerate(text.splitlines(), 1):
+            if (ln.strip() and not ln.lstrip().startswith("#")
+                    and (not ln.isascii() or "_" in ln)):
                 raise ParseError(f"line {no}: only ASCII characters other "
                                  f"than '_' may appear outside a comment")
-    lines = [(no, ln.split()) for no, ln in lines]
-    if not lines:
+    lines = ((no, fields) for no, fields
+             in enumerate(map(str.split, text.splitlines()), 1)
+             if fields and not fields[0].startswith("#"))
+    no, header = next(lines, (0, None))
+    if header is None:
         raise ParseError("empty model file")
-    no, header = lines[0]
     try:
         if len(header) != 4 or header[0] != "QUBO":
             raise ValueError("expected 'QUBO n offset convention'")
@@ -396,21 +397,21 @@ def read_model(text: str) -> Model:
         raise ParseError(f"line {no}: bad model header: {exc}") from exc
     h = [0.0] * _model_size(n)
     J: dict[tuple[int, int], float] = {}
-    seen: set[tuple[int, int]] = set()
-    for no, fields in lines[1:]:
+    h_seen: set[int] = set()
+    for no, fields in lines:
         try:
             if len(fields) != 3:
                 raise ValueError("expected 'i j value'")
             i, j, v = int(fields[0]), int(fields[1]), _finite(fields[2])
             if not 0 <= i <= j < n:
                 raise ValueError(f"need 0 <= i <= j < {n}, got {i} {j}")
-            if (i, j) in seen:
+            if (i, j) in J or (i == j and i in h_seen):
                 raise ValueError(f"repeated term {i} {j}")
         except ValueError as exc:
             raise ParseError(f"line {no}: bad term: {exc}") from exc
-        seen.add((i, j))
         if i == j:
             h[i] = v
+            h_seen.add(i)
         else:
             J[(i, j)] = v
     cls = IsingModel if convention == "spin" else BinaryModel

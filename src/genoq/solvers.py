@@ -71,7 +71,8 @@ class SuccessStats:
 # Energies per block, 128 KiB per float64 block. Over ten 16-20-variable
 # models (2-vCPU Xeon, 2 MiB L2, one BLAS thread), interleaved passes of
 # brute force took a median 9.5-10 ms at 2^14 and 2^15, 2^14 ahead in 6 of 8
-# comparisons, 10.5-11.7 ms at 2^13 and 13-15 ms at 2^16.
+# comparisons, 10.5-11.7 ms at 2^13 and 13-15 ms at 2^16. A single SA run
+# draws its targets and Exp(1) limits in blocks of as many entries.
 BLOCK_ENTRIES = 1 << 14
 
 
@@ -115,6 +116,11 @@ def brute_force(model: Model) -> tuple[float, list[tuple[int, ...]]]:
     ``energy`` of the first, so it does not depend on the matmul's summation
     order, and only candidates whose ``energy`` is within 1e-12 of it are
     kept.
+
+    A field-free Ising model has E(x) = E(-x), bit for bit, so for n >= 2
+    only the high rows whose top variable is -1 (indices below 2^(n-1)) are
+    enumerated, and the mirror 2^n - 1 - i of each optimum i follows them,
+    in ascending order: every mirror lies above every enumerated index.
     """
     n = model.n
     if n > BRUTE_FORCE_MAX_VARS:
@@ -123,8 +129,9 @@ def brute_force(model: Model) -> tuple[float, list[tuple[int, ...]]]:
         )
     _finite_scale(model)
     spin = model.spin
+    mirror = spin and n >= 2 and not any(model.h)
     a = (n + 1) // 2
-    h, pairs, w = _arrays(model)
+    arrays = h, pairs, w = _arrays(model)
     W = np.zeros((n, n))
     W[pairs[:, 0], pairs[:, 1]] = w
     lo = _assignments(np.arange(1 << a), a, spin).astype(float)
@@ -132,7 +139,8 @@ def brute_force(model: Model) -> tuple[float, list[tuple[int, ...]]]:
     right = np.empty((a + 2, len(lo)))  # C order, which BLAS reads fastest
     right[:a], right[a], right[a + 1] = lo.T, 1.0, e_lo
     del lo
-    hi = _assignments(np.arange(1 << (n - a)), n - a, spin).astype(float)
+    hi = _assignments(np.arange(1 << (n - a - mirror)), n - a,
+                      spin).astype(float)
     e_hi = hi @ h[a:] + ((hi @ W[a:, a:]) * hi).sum(axis=1) + model.offset
     left = np.column_stack([hi @ W[:a, a:].T, e_hi, np.ones(len(hi))])
     del hi
@@ -147,14 +155,18 @@ def brute_force(model: Model) -> tuple[float, list[tuple[int, ...]]]:
         if low <= best_e + 1e-12:
             # Every entry is >= low >= best_e - 1e-12: one compare suffices.
             optima.append((start << a) + np.flatnonzero(e <= best_e + 1e-12))
-    return _ties(model, _assignments(np.concatenate(optima), n, spin))
+    index = np.concatenate(optima)
+    if mirror:
+        index = np.concatenate([index, (1 << n) - 1 - index[::-1]])
+    return _ties(model, _assignments(index, n, spin), arrays)
 
 
-def _energies(model: Model, values: np.ndarray) -> np.ndarray:
+def _energies(model: Model, values: np.ndarray, arrays) -> np.ndarray:
     """``energy`` of every row of ``values``, bit for bit: its terms and
     products, summed left to right (``accumulate``) in its order, over blocks
-    of rows of about ``BLOCK_ENTRIES`` terms."""
-    h, pairs, w = _arrays(model)
+    of rows of about ``BLOCK_ENTRIES`` terms; ``arrays`` is
+    ``_arrays(model)``."""
+    h, pairs, w = arrays
     rows = max(1, BLOCK_ENTRIES // (1 + len(h) + len(w)))
     energies = []
     for start in range(0, len(values), rows):
@@ -166,12 +178,12 @@ def _energies(model: Model, values: np.ndarray) -> np.ndarray:
     return np.concatenate(energies)
 
 
-def _ties(model: Model,
-          values: np.ndarray) -> tuple[float, list[tuple[int, ...]]]:
+def _ties(model: Model, values: np.ndarray,
+          arrays) -> tuple[float, list[tuple[int, ...]]]:
     """``energy`` of the first row, and every row whose ``energy`` is within
-    1e-12 of it, in order."""
+    1e-12 of it, in order. ``arrays`` is ``_arrays(model)``."""
     best_e = energy(model, values[0].tolist())
-    keep = np.abs(_energies(model, values) - best_e) <= 1e-12
+    keep = np.abs(_energies(model, values, arrays) - best_e) <= 1e-12
     return best_e, list(map(tuple, values[keep].tolist()))
 
 
@@ -216,22 +228,24 @@ def prepare(model: Model) -> PreparedModel:
     return PreparedModel(model, *_arrays(model), rises, falls, exact)
 
 
-SWEEPS_PER_DRAW = 8  # sweeps whose randomness one pair of draws supplies
+SWEEPS_PER_DRAW = 8  # sweeps per block of the estimator's draws
 
 
 def _anneal(prepared: PreparedModel, schedule: AnnealSchedule,
-            rng: np.random.Generator, runs: int, stop: float | None = None
+            rng: np.random.Generator, runs: int, stop: float | None = None,
+            sweeps_per_draw: int = SWEEPS_PER_DRAW
             ) -> list[tuple[list[int], list[float], bool]]:
     """``runs`` Metropolis runs with incremental local-field dE, each on plain
     Python lists (much faster to index than numpy scalars), from one
     generator. Seeded outputs rest on the draw order: a (runs, n) array of
-    start bits, then per block of up to ``SWEEPS_PER_DRAW`` sweeps (k of
+    start bits, then per block of up to ``sweeps_per_draw`` sweeps (k of
     them) a (runs, k, n) array of targets and a (runs, k, n) array of Exp(1)
     draws divided by each sweep's beta. Every block covers every run, stopped
     or not, so each run reads its own slice of every block and no run's draws
-    depend on when another stopped; at runs = 1 the order is that of a single
-    run. A move is accepted iff dE <= 0 or dE is below its limit, which has
-    probability exp(-beta * dE): Metropolis.
+    depend on when another stopped. A move is accepted iff dE <= 0 or dE is
+    below its limit, which has probability exp(-beta * dE): Metropolis.
+    Limits are floored at the smallest positive float, 5e-324, so that one
+    compare, dE < limit, makes that decision bit for bit.
 
     A run keeps each variable's step, not its value, and negates it on a
     flip. Start fields and energies are summed in ``J`` order, as
@@ -264,11 +278,12 @@ def _anneal(prepared: PreparedModel, schedule: AnnealSchedule,
     fields, energies = start_fields.tolist(), start_e.tolist()
     results = [(d[:], [], False) for d in steps]
     live = list(range(runs))
-    for s in range(0, schedule.sweeps, SWEEPS_PER_DRAW):
-        betas = schedule.betas(s, min(s + SWEEPS_PER_DRAW, schedule.sweeps))
+    for s in range(0, schedule.sweeps, sweeps_per_draw):
+        betas = schedule.betas(s, min(s + sweeps_per_draw, schedule.sweeps))
         k = len(betas)
         block_targets = rng.integers(0, n, size=(runs, k, n))
         block_limits = rng.standard_exponential((runs, k, n)) / betas[:, None]
+        np.maximum(block_limits, 5e-324, out=block_limits)
         for r in live:
             d, f, e = steps[r], fields[r], energies[r]
             best, trace, _ = results[r]
@@ -279,7 +294,7 @@ def _anneal(prepared: PreparedModel, schedule: AnnealSchedule,
                 for t, limit in zip(sweep_targets, sweep_limits):
                     step = d[t]
                     delta = step * f[t]
-                    if delta <= 0.0 or delta < limit:
+                    if delta < limit:
                         d[t] = -step
                         e += delta
                         for j, df in (rises if step > 0 else falls)[t]:
@@ -304,9 +319,12 @@ def _anneal(prepared: PreparedModel, schedule: AnnealSchedule,
 
 def simulated_annealing(model: Model, schedule: AnnealSchedule,
                         seed) -> SolverRun:
-    """Metropolis single-variable updates with incremental local-field dE."""
-    [(best, trace, _)] = _anneal(prepare(model), schedule,
-                                 np.random.default_rng(seed), 1)
+    """Metropolis single-variable updates with incremental local-field dE.
+    A run never stops early, so it draws its targets and limits in blocks of
+    up to ``BLOCK_ENTRIES``, not per ``SWEEPS_PER_DRAW`` sweeps."""
+    [(best, trace, _)] = _anneal(
+        prepare(model), schedule, np.random.default_rng(seed), 1,
+        sweeps_per_draw=max(1, BLOCK_ENTRIES // model.n))
     best = tuple(best)
     return SolverRun(best, energy(model, best), trace)
 

@@ -1,8 +1,11 @@
+import ast
 import contextlib
 import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genoq import grover, qubo, solvers, tts
+from genoq import cli, grover, qubo, solvers, tts
 from genoq.cli import main
 
 
@@ -441,6 +444,39 @@ def test_qubo_solve_brute_golden_output(capsys, monkeypatch, kind):
          "--no-timestamp"], capsys)
     assert code == 0
     assert out == (BRUTE_GOLDEN / f"{kind}.json").read_text()
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=20))
+def test_json_emitter_equals_indented_dumps(value):
+    # Includes inf and nan, all-number lists split from one encode call, and
+    # strings holding ", " beside numbers.
+    assert cli._json_text(value) == json.dumps(
+        value, indent=2, sort_keys=True)
+
+
+def test_cli_imports_only_genoq_and_stdlib_past_numpy():
+    # Cold set-up compiles and runs every module the CLI imports; any
+    # third-party import besides numpy would add to it.
+    code = ("import sys, numpy; before = set(sys.modules); import genoq.cli; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    added = set(ast.literal_eval(out))
+    assert "genoq" in added
+    assert added - {"genoq"} <= sys.stdlib_module_names
 
 
 BUILD_GOLDEN = Path(__file__).parent / "data" / "build_golden"

@@ -135,6 +135,49 @@ def test_brute_force_energy_is_exact_on_real_weights(model):
         assert abs(energy(model, a) - best_e) <= 1e-12
 
 
+def field_free(model):
+    return IsingModel(model.n, (0.0,) * model.n, model.J, model.offset)
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=st.one_of(
+    quadratic_models(st.integers(-8, 8).map(lambda k: k / 2), max_n=14),
+    quadratic_models(st.floats(-1.0, 1.0), max_n=14)).map(field_free))
+@example(model=IsingModel(1, (0.0,), {}, 0.5))
+@example(model=IsingModel(2, (0.0, 0.0), {(0, 1): 1.5}))
+@example(model=IsingModel(5, (0.0,) * 5))
+@example(model=IsingModel(4, (-0.0,) * 4, {(0, 1): 1.0, (2, 3): -0.5}, -0.0))
+@example(model=IsingModel(3, (0.0,) * 3, {(0, 1): 0.5, (0, 2): 0.5,
+                                           (1, 2): 0.5}, 0.5))
+# Optima 1 and 2 compute -0.9000000000000001 and -0.9; 5 and 6 mirror them.
+@example(model=IsingModel(3, (0.0,) * 3, {(0, 1): 0.8, (0, 2): -0.7,
+                                           (1, 2): -0.7}, -0.1))
+def test_field_free_brute_force_equals_reference(model):
+    # E(x) = E(-x): brute force enumerates the states whose top spin is -1
+    # and appends their optima's mirrors; every optimum of the reference,
+    # in index order, must come out. With J = {} all 2^n states are optimal.
+    assignments, energies = reference_enumeration(model)
+    best_e, best = brute_force(model)
+    assert best_e == energy(model, best[0])
+    assert abs(min(energies) - best_e) <= 1e-12
+    assert best == [a for a, e in zip(assignments, energies)
+                    if abs(e - best_e) <= 1e-12]
+    if not model.J:
+        assert len(best) == 1 << model.n
+
+
+def test_brute_force_builds_model_arrays_once(monkeypatch):
+    calls = []
+    arrays = solvers._arrays
+    monkeypatch.setattr(solvers, "_arrays",
+                        lambda model: calls.append(model) or arrays(model))
+    for model in (chain_ferromagnet(9), NEAR_TIE_THIRDS,
+                  random_model(np.random.default_rng(0), 9, BinaryModel)):
+        calls.clear()
+        brute_force(model)
+        assert calls == [model]
+
+
 @pytest.mark.parametrize("block", [1, 8, 64, "row"])
 @settings(max_examples=40, deadline=None)
 @given(model=st.one_of(quadratic_models(st.floats(-1.0, 1.0), max_n=12),
@@ -181,10 +224,10 @@ def test_tie_filter_equals_energy_list_filter(model):
     rows, energies = reference_enumeration(model)
     start = int(np.argmin(energies))
     rows, energies = rows[start:] + rows[:start], energies[start:] + energies[:start]
-    values = np.array(rows)
-    assert solvers._energies(model, values).tolist() == energies
+    values, arrays = np.array(rows), solvers._arrays(model)
+    assert solvers._energies(model, values, arrays).tolist() == energies
     first = energies[0]
-    assert solvers._ties(model, values) == (
+    assert solvers._ties(model, values, arrays) == (
         first, [a for a in rows if abs(energy(model, a) - first) <= 1e-12])
 
 
@@ -276,15 +319,20 @@ def test_sa_trace_non_increasing_and_consistent():
     assert run.trace[-1] == pytest.approx(run.best_energy, abs=1e-9)
 
 
-@pytest.mark.parametrize("sweeps", [1, 7, 8, 9, 17])
+@pytest.mark.parametrize("sweeps", [1, 7, 8, 9, 17, 1638, 1639])
 @pytest.mark.parametrize("cls", [IsingModel, BinaryModel])
 def test_sa_trace_has_one_entry_per_sweep_across_draw_blocks(cls, sweeps):
-    # Randomness is drawn SWEEPS_PER_DRAW sweeps at a time; a schedule that
-    # ends inside, at or just past a block edge must still run every sweep.
+    # Randomness is drawn SWEEPS_PER_DRAW sweeps at a time by the estimator's
+    # runs and BLOCK_ENTRIES // 10 = 1638 at a time by a single run; a
+    # schedule that ends inside, at or just past a block edge must still run
+    # every sweep.
     model = random_model(np.random.default_rng(4), 10, cls)
-    run = simulated_annealing(model, AnnealSchedule(sweeps=sweeps), seed=3)
-    assert len(run.trace) == sweeps
-    assert all(b <= a for a, b in zip(run.trace, run.trace[1:]))
+    schedule = AnnealSchedule(sweeps=sweeps)
+    run = simulated_annealing(model, schedule, seed=3)
+    traces = [run.trace] + [t for _, t, _ in full_runs(model, schedule, 2, 3)]
+    for trace in traces:
+        assert len(trace) == sweeps
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
 
 
 def test_sa_finds_chain_ground_state():
@@ -312,27 +360,63 @@ def test_sa_degenerate_single_sweep():
         energy(model, run.best_assignment), abs=1e-12)
 
 
-# Recorded from the kernel that draws its targets and Exp(1) limits a block
-# of SWEEPS_PER_DRAW sweeps at a time; pins its RNG use and float arithmetic.
+# Per class, (sweeps, model seed, seed, assignment, best energy, trace). The
+# 6-sweep entries are one draw block under either single-run layout; the
+# 20-sweep ones, recorded from the kernel that draws a single run's targets
+# and Exp(1) limits BLOCK_ENTRIES at a time, pin that layout past the old
+# SWEEPS_PER_DRAW block edges. Both pin RNG use and float arithmetic.
 SA_GOLDEN = {
-    IsingModel: (23, 31, (-1, -1, 1, 1, -1, 1, -1, -1, -1), -20.316512422611563,
-                 [-6.616437713727311, -7.289650040196118, -11.647949673412842,
-                  -11.921406484093753, -17.219437804117106,
-                  -20.316512422611567]),
-    BinaryModel: (29, 37, (1, 0, 0, 0, 0, 1, 1, 0, 1), -1.570327048112995,
-                  [-1.3793494754802413] * 4
-                  + [-1.5125853569363568, -1.570327048112993]),
+    IsingModel: [
+        (6, 23, 31, (-1, -1, 1, 1, -1, 1, -1, -1, -1), -20.316512422611563,
+         [-6.616437713727311, -7.289650040196118, -11.647949673412842,
+          -11.921406484093753, -17.219437804117106, -20.316512422611567]),
+        (20, 23, 31, (1, -1, 1, 1, -1, 1, -1, -1, -1), -20.649677797026392,
+         [-6.616437713727311] * 2 + [-7.251455825336159] * 2
+         + [-8.308087331106563, -20.316512422611567]
+         + [-20.6496777970264] * 14),
+    ],
+    BinaryModel: [
+        (6, 29, 37, (1, 0, 0, 0, 0, 1, 1, 0, 1), -1.570327048112995,
+         [-1.3793494754802413] * 4
+         + [-1.5125853569363568, -1.570327048112993]),
+        (20, 29, 37, (1, 0, 0, 1, 1, 0, 1, 0, 1), -2.0739519985807338,
+         [-1.3793494754802413] * 13 + [-1.4347211585451043] * 3
+         + [-2.073951998580733] * 4),
+    ],
 }
 
 
 @pytest.mark.parametrize("cls", [IsingModel, BinaryModel])
 def test_sa_golden_outputs(cls):
-    model_seed, seed, assignment, best_energy, trace = SA_GOLDEN[cls]
-    model = random_model(np.random.default_rng(model_seed), 9, cls)
-    run = simulated_annealing(model, AnnealSchedule(sweeps=6), seed=seed)
-    assert run.best_assignment == assignment
-    assert run.best_energy == best_energy
-    assert run.trace == trace
+    for sweeps, model_seed, seed, assignment, best_e, trace in SA_GOLDEN[cls]:
+        model = random_model(np.random.default_rng(model_seed), 9, cls)
+        run = simulated_annealing(model, AnnealSchedule(sweeps), seed=seed)
+        assert run.best_assignment == assignment
+        assert run.best_energy == best_e
+        assert run.trace == trace
+
+
+# simulated_annealing runs, of seeds 0..399, that reach the ground of
+# random_model(default_rng(1), 12, cls), recorded from the kernel that drew a
+# single run's targets and Exp(1) limits SWEEPS_PER_DRAW sweeps at a time. A
+# change of the single-run draw layout must leave each rate statistically
+# equal.
+SA_SINGLE_RUN_HITS = {(IsingModel, 20): 115, (IsingModel, 40): 200,
+                      (BinaryModel, 20): 248, (BinaryModel, 40): 316}
+
+
+@pytest.mark.parametrize("cls, sweeps", list(SA_SINGLE_RUN_HITS),
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_sa_hit_rates_match_per_block_draw_kernel(cls, sweeps):
+    runs = 400
+    model = random_model(np.random.default_rng(1), 12, cls)
+    ground, _ = brute_force(model)
+    hits = sum(simulated_annealing(model, AnnealSchedule(sweeps), seed)
+               .best_energy <= ground + 1e-9 for seed in range(runs))
+    low, high = wilson_interval(hits / runs, runs)
+    ref_low, ref_high = wilson_interval(
+        SA_SINGLE_RUN_HITS[(cls, sweeps)] / runs, runs)
+    assert low <= ref_high and ref_low <= high
 
 
 def full_runs(model, schedule, runs, seed):
@@ -358,13 +442,22 @@ def test_success_probability_counts_sa_runs():
 @pytest.mark.parametrize("sweeps", [1, 6, 8, 20])
 @pytest.mark.parametrize("cls", [IsingModel, BinaryModel])
 def test_anneal_single_run_equals_simulated_annealing(cls, sweeps):
+    # simulated_annealing is one run of _anneal that draws BLOCK_ENTRIES // n
+    # sweeps at a time. Up to SWEEPS_PER_DRAW sweeps the estimator's layout
+    # draws the same single block, so its single run equals it too.
     for model_seed in range(5):
         model = random_model(np.random.default_rng(model_seed), 9, cls)
         schedule = AnnealSchedule(sweeps=sweeps)
-        [(best, trace, hit)] = full_runs(model, schedule, 1, seed=model_seed)
+        [(best, trace, hit)] = solvers._anneal(
+            solvers.prepare(model), schedule,
+            np.random.default_rng(model_seed), 1,
+            sweeps_per_draw=solvers.BLOCK_ENTRIES // 9)
         run = simulated_annealing(model, schedule, seed=model_seed)
         assert (tuple(best), trace, hit) == (run.best_assignment, run.trace,
                                              False)
+        if sweeps <= solvers.SWEEPS_PER_DRAW:
+            assert full_runs(model, schedule, 1, seed=model_seed) == [
+                (best, trace, hit)]
 
 
 def test_run_trace_does_not_change_when_other_runs_stop():
