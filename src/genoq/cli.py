@@ -22,7 +22,7 @@ from .errors import (
     SequenceParseError,
     ShapeError,
 )
-from .genome import BASE_BITS, build_window_db, layout_for, parse_sequence
+from .genome import BASE_BITS, build_window_db, parse_sequence
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -255,14 +255,14 @@ def cmd_grover_search(args) -> int:
         genome = parse_sequence(fh.read())
     key = _parse_key(args.key)
     db = build_window_db(genome, len(key))
-    layout = layout_for(len(genome), len(key))
+    problem = grover.make_problem(db, key)
+    layout = problem.layout
     if layout.total > args.max_qubits:
         raise CapacityError(
             f"search needs {layout.total} qubits "
             f"(index {layout.index_qubits} + data {layout.data_qubits} + "
             f"flag {layout.flag_qubits}), ceiling is {args.max_qubits}"
         )
-    problem = grover.make_problem(db, key)
     scan = grover.classical_scan(db, key, 0)
     iterations = args.iterations
     if iterations is None:
@@ -419,11 +419,12 @@ def cmd_tts_scan(args) -> int:
             tau = args.stub_tau * n
             estimator = lambda t, tau=tau: 1.0 - math.exp(-t / tau)
         else:
-            model = solvers.planted_ferromagnet(n, args.density, args.seed + n)
+            size_seed = (args.seed, n)  # and (seed, n, t) for the estimate at t
+            model = solvers.planted_ferromagnet(n, args.density, size_seed)
             # Certified ground: the planted state satisfies every +-1 coupling.
             ground = -float(len(model.J))
             estimator = tts.sa_probability_estimator(
-                model, threshold=ground, runs=args.runs, seed=args.seed + n)
+                model, threshold=ground, runs=args.runs, seed=size_seed)
         curve = tts.tts_curve(estimator, t_grid, args.target_p)
         for p in curve.points:
             rows.append(

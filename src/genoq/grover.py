@@ -168,20 +168,13 @@ def optimal_iterations(num_windows: int, num_solutions: int) -> int:
     return max(1, k)
 
 
-def _match_mask(problem: SearchProblem) -> np.ndarray:
-    """Boolean mask over basis indices whose data register equals the key."""
-    layout = problem.layout
-    dim = 1 << layout.total
-    idx = np.arange(dim, dtype=np.int64)
-    mask = (idx & ((1 << layout.data_qubits) - 1)) == problem.key_code
-    if layout.flag_qubits:
-        mask &= ((idx >> layout.flag_qubit) & 1) == 0
-    return mask
-
-
 def success_probability(problem: SearchProblem, state: StateVector) -> float:
-    """Probability that measuring the full-register ``state`` finds the key."""
-    return float((np.abs(state.amplitudes[_match_mask(problem)]) ** 2).sum())
+    """Probability that measuring the full-register ``state`` finds the key:
+    data and flag are the low qubits, so column ``key_code`` of the amplitudes
+    in rows of 2^(data + flag) holds every state with data == key, flag unset."""
+    layout = problem.layout
+    rows = state.amplitudes.reshape(-1, 1 << (layout.data_qubits + layout.flag_qubits))
+    return float((np.abs(rows[:, problem.key_code]) ** 2).sum())
 
 
 def slot_amplitudes(problem: SearchProblem, iterations: int

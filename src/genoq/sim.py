@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +50,8 @@ class Gate:
         for q, b in self.controls:
             if q == self.target:
                 raise ValueError("target qubit cannot also be a control")
+            if q < 0:
+                raise ValueError("control qubit index must be non-negative")
             if q in seen:
                 raise ValueError(f"duplicate control qubit {q}")
             if b not in (0, 1):
@@ -105,54 +106,53 @@ class StateVector:
         return StateVector(self.num_qubits, self.amplitudes.copy())
 
 
-def init_state(num_qubits: int, max_qubits: int = MAX_QUBITS) -> StateVector:
-    if not 1 <= num_qubits <= max_qubits:
+def init_state(num_qubits: int) -> StateVector:
+    if not 1 <= num_qubits <= MAX_QUBITS:
         raise CapacityError(
-            f"num_qubits must be in 1..{max_qubits}, got {num_qubits}"
+            f"num_qubits must be in 1..{MAX_QUBITS}, got {num_qubits}"
         )
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(num_qubits, amps)
 
 
-@lru_cache(maxsize=512)
-def _pair_indices(num_qubits: int, target: int):
-    """Basis-index pairs (target bit 0, target bit 1); cached per register shape."""
-    half = np.arange(1 << (num_qubits - 1), dtype=np.int64)
-    low = half & ((1 << target) - 1)
-    i0 = ((half >> target) << (target + 1)) | low
-    i1 = i0 | (1 << target)
-    i0.setflags(write=False)
-    i1.setflags(write=False)
-    return i0, i1
-
-
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply ``gate`` in place via bit-indexed amplitude pairing."""
-    if gate.max_qubit() >= state.num_qubits:
+    """Apply ``gate`` in place on strided views of the amplitudes.
+
+    Axis k of the view is qubit n-1-k; a trailing axis of length 1 keeps a
+    selection an array even when every qubit is fixed. Each control fixes its
+    axis and the target's 0-half and 1-half are views, updated in place, so a
+    gate needs the statevector plus at most one half-size temporary.
+    """
+    n = state.num_qubits
+    if gate.max_qubit() >= n:
         raise IndexError(
-            f"gate touches qubit {gate.max_qubit()} on a "
-            f"{state.num_qubits}-qubit state"
+            f"gate touches qubit {gate.max_qubit()} on a {n}-qubit state"
         )
-    i0, i1 = _pair_indices(state.num_qubits, gate.target)
-    if gate.controls:
-        mask = np.ones(i0.shape, dtype=bool)
-        for q, b in gate.controls:
-            mask &= ((i0 >> q) & 1) == b
-        i0 = i0[mask]
-        i1 = i1[mask]
     amps = state.amplitudes
+    if amps.shape != (1 << n,):  # any other shape may reshape to a copy
+        raise ShapeError(f"a {n}-qubit state has {1 << n} amplitudes, not {amps.shape}")
+    index = [slice(None)] * (n + 1)
+    for q, b in gate.controls:
+        index[n - 1 - q] = b
+    k = n - 1 - gate.target
+    view = amps.reshape((2,) * n + (1,))
+    a0, a1 = (view[(*index[:k], bit, *index[k + 1:])] for bit in (0, 1))
     if gate.kind == "X":
-        tmp = amps[i0].copy()
-        amps[i0] = amps[i1]
-        amps[i1] = tmp
+        t = a0.copy()
+        # A ufunc, since a0[...] = a1 copies a1 first wherever the halves
+        # interleave: assignment checks only whether their bounds overlap.
+        np.positive(a1, out=a0)
+        a1[...] = t
     elif gate.kind == "Z":
-        amps[i1] = -amps[i1]
+        # Not a1 *= -1: a complex multiply by -1 flips the sign of some zeros.
+        np.negative(a1, out=a1)
     else:  # H
-        a = amps[i0].copy()
-        b = amps[i1].copy()
-        amps[i0] = (a + b) * _INV_SQRT2
-        amps[i1] = (a - b) * _INV_SQRT2
+        t = a0.copy()
+        a0 += a1
+        a0 *= _INV_SQRT2
+        np.subtract(t, a1, out=a1)
+        a1 *= _INV_SQRT2
     check_norm(amps, f"after {gate.label} on qubit {gate.target}")
     return state
 

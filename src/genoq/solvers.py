@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 import numpy as np
 
@@ -331,7 +332,8 @@ def simulated_annealing(model: Model, schedule: AnnealSchedule,
 
 def estimate_success_probability(model: Model | PreparedModel,
                                  schedule: AnnealSchedule, runs: int,
-                                 threshold: float, seed: int) -> SuccessStats:
+                                 threshold: float,
+                                 seed: int | Sequence[int]) -> SuccessStats:
     """``runs`` SA runs from one generator seeded with ``seed``; success iff
     best energy <= threshold. ``model`` may come already prepared, so that a
     curve of estimates prepares its model once.
@@ -356,7 +358,8 @@ def estimate_success_probability(model: Model | PreparedModel,
     return SuccessStats(runs=runs, successes=successes, threshold=threshold)
 
 
-def planted_ferromagnet(n: int, density: float, seed: int) -> IsingModel:
+def planted_ferromagnet(n: int, density: float,
+                        seed: int | Sequence[int]) -> IsingModel:
     """Random-sign planted Ising glass: couplings -s*_i s*_j on a random
     graph, so the planted configuration is a certified ground state.
     CapacityError, before anything is allocated, when its n(n-1)/2 candidate

@@ -77,14 +77,16 @@ def tts_curve(p_estimator: Callable[[float], float], t_grid: Sequence[float],
 
 
 def sa_probability_estimator(model: Model, threshold: float, runs: int,
-                             seed: int) -> Callable[[float], float]:
-    """p_estimator backed by seeded simulated-annealing batches.
+                             seed: int | Sequence[int]) -> Callable[[float], float]:
+    """p_estimator backed by seeded simulated-annealing batches; the estimate
+    at t draws from ``[*seed, t]`` (``[seed, t]`` for an int seed).
 
     t is a sweep count, so the estimator raises ValueError unless t is a
     whole number >= 1: TTS = R x t must count sweeps that were run. The
     model is prepared once, for every t.
     """
     prepared = prepare(model)
+    entropy = list(seed) if isinstance(seed, Sequence) else [seed]
 
     def estimate(t: float) -> float:
         if not (t >= 1 and float(t).is_integer()):
@@ -93,7 +95,7 @@ def sa_probability_estimator(model: Model, threshold: float, runs: int,
         schedule = AnnealSchedule(sweeps=int(t))
         stats = estimate_success_probability(
             prepared, schedule, runs=runs, threshold=threshold,
-            seed=seed + int(t),
+            seed=[*entropy, int(t)],
         )
         return stats.p_hat
 

@@ -751,8 +751,9 @@ def test_tts_scan_stub_accepts_fractional_t(capsys):
 
 
 # Recorded from the SA kernel that draws an estimate's randomness a block of
-# sweeps at a time, for all of its runs from one generator; tts-scan without
-# brute force must reproduce it byte for byte.
+# sweeps at a time, for all of its runs from one generator, with the model of
+# size n seeded by [seed, n] and its estimate at t by [seed, n, t]; tts-scan
+# without brute force must reproduce it byte for byte.
 TTS_GOLDEN = """\
 # command=tts-scan
 # version=0.1.0
@@ -763,29 +764,29 @@ TTS_GOLDEN = """\
 # param.t_grid=1,2,4,8,16
 # param.target_p=0.90000000000000002
 N,t,p_hat,R,TTS
-8,1,0.25,9,9
-8,2,0,excluded,excluded
-8,4,0.875,2,8
-8,8,1,1,8
+8,1,0,excluded,excluded
+8,2,0.125,18,36
+8,4,0.5,4,16
+8,8,0.875,2,16
 8,16,1,1,16
-10,1,0.125,18,18
-10,2,0,excluded,excluded
-10,4,1,1,4
+10,1,0,excluded,excluded
+10,2,0.25,9,18
+10,4,0.25,9,36
 10,8,1,1,8
 10,16,1,1,16
 12,1,0,excluded,excluded
-12,2,0.25,9,18
+12,2,0,excluded,excluded
 12,4,0.625,3,12
-12,8,1,1,8
+12,8,0.875,2,16
 12,16,1,1,16
 N,TTS_star,t_star,boundary_flag
-8,8,4,0
-10,4,4,0
-12,8,8,0
-# power_law_exponent=-0.11435536231418986
-# power_law_stderr=1.9673264407290283
-# exponential_base=0.99999999999999978
-# exponential_stderr=0.20009435564215772
+8,16,4,0
+10,8,8,0
+12,12,4,1
+# power_law_exponent=-0.79774656029522306
+# power_law_stderr=1.517966224626885
+# exponential_base=0.93060485910209956
+# exponential_stderr=0.15857102514939136
 """
 
 
@@ -821,6 +822,25 @@ def test_tts_scan_prepares_each_model_once(capsys, monkeypatch):
     assert calls == {"_arrays": 3, "estimate_success_probability": 15}
 
 
+def test_tts_scan_gives_every_model_and_estimate_its_own_seed(capsys, monkeypatch):
+    # With seed + n and seed + n + t, (8, t=4), (10, t=2) and the 12-spin
+    # model all drew from seed + 12.
+    seeds = []
+    for module, name in ((solvers, "planted_ferromagnet"),
+                         (tts, "estimate_success_probability")):
+        def recorded(*args, original=getattr(module, name), **kwargs):
+            seeds.append(tuple(kwargs.get("seed", args[-1])))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+    code, _, _ = run_cli(
+        ["tts-scan", "--sizes", "8,10,12", "--t-grid", "1,2,4",
+         "--runs", "4", "--seed", "5", "--no-timestamp"], capsys)
+    assert code == 0
+    assert seeds == [s for n in (8, 10, 12)
+                     for s in [(5, n)] + [(5, n, t) for t in (1, 2, 4)]]
+
+
 # The same, at the benchmark's t grid and run count.
 TTS_GOLDEN_BENCH_SHAPE = """\
 # command=tts-scan
@@ -834,7 +854,7 @@ TTS_GOLDEN_BENCH_SHAPE = """\
 N,t,p_hat,R,TTS
 14,1,0,excluded,excluded
 14,2,0.1875,12,24
-14,4,0.5625,3,12
+14,4,0.75,2,8
 14,8,1,1,8
 14,16,1,1,16
 14,32,1,1,32
@@ -842,14 +862,14 @@ N,t,p_hat,R,TTS
 14,128,1,1,128
 20,1,0,excluded,excluded
 20,2,0,excluded,excluded
-20,4,0.5625,3,12
+20,4,0.375,5,20
 20,8,1,1,8
 20,16,1,1,16
 20,32,1,1,32
 20,64,1,1,64
 20,128,1,1,128
 N,TTS_star,t_star,boundary_flag
-14,8,8,0
+14,8,4,0
 20,8,8,0
 """
 

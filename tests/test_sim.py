@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from genoq.errors import CapacityError, NormalizationError, ShapeError
 from genoq.sim import (
+    GATE_KINDS,
     Circuit,
     Gate,
     StateVector,
@@ -116,6 +121,8 @@ def test_gate_validation():
         Gate("Y", 0)
     with pytest.raises(ValueError):
         Gate("X", 0, ((1, 2),))
+    with pytest.raises(ValueError):
+        Gate("X", 0, ((-1, 1),))  # would select the trailing axis of the view
 
 
 def test_run_circuit_empty_is_identity():
@@ -268,3 +275,132 @@ def test_bitstring_convention():
     # Qubit 0 is the rightmost printed bit.
     assert bitstring(1, 4) == "0001"
     assert bitstring(8, 4) == "1000"
+
+
+def index_kernel(amps: np.ndarray, n: int, gate: Gate) -> None:
+    """The earlier gate kernel, on index arrays and a control mask: the
+    bit-level reference for ``apply_gate``'s strided views."""
+    half = np.arange(1 << (n - 1), dtype=np.int64)
+    low = half & ((1 << gate.target) - 1)
+    i0 = ((half >> gate.target) << (gate.target + 1)) | low
+    i1 = i0 | (1 << gate.target)
+    mask = np.ones(i0.shape, dtype=bool)
+    for q, b in gate.controls:
+        mask &= ((i0 >> q) & 1) == b
+    i0, i1 = i0[mask], i1[mask]
+    if gate.kind == "X":
+        tmp = amps[i0].copy()
+        amps[i0] = amps[i1]
+        amps[i1] = tmp
+    elif gate.kind == "Z":
+        amps[i1] = -amps[i1]
+    else:
+        a = amps[i0].copy()
+        b = amps[i1].copy()
+        amps[i0] = (a + b) * (1.0 / np.sqrt(2.0))
+        amps[i1] = (a - b) * (1.0 / np.sqrt(2.0))
+
+
+# Both zeros and subnormals, so that a kernel which rounds or signs a zero
+# differently shows in the bits.
+SPECIAL_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308]
+
+
+@st.composite
+def gates_on_states(draw):
+    """A gate of any kind, target and controls (every other qubit, or any
+    subset) on an n <= 7 qubit state with some zero and subnormal parts."""
+    n = draw(st.integers(1, 7))
+    target = draw(st.integers(0, n - 1))
+    others = [q for q in range(n) if q != target]
+    if not draw(st.booleans()):
+        others = [q for q in others if draw(st.booleans())]
+    controls = tuple((q, draw(st.integers(0, 1))) for q in others)
+    gate = Gate(draw(st.sampled_from(GATE_KINDS)), target, controls)
+    parts = np.array(draw(st.lists(
+        st.floats(1e-3, 1.0) | st.floats(-1.0, -1e-3) | st.sampled_from(SPECIAL_PARTS),
+        min_size=2 << n, max_size=2 << n)))
+    normal = np.abs(parts) >= 1e-3
+    if not normal.any():
+        parts[0], normal[0] = 1.0, True
+    # Only the normal parts are scaled; the others add nothing to the norm.
+    parts[normal] /= np.linalg.norm(parts[normal])
+    return gate, StateVector(n, parts.view(np.complex128))
+
+
+# Every sign pattern of zero parts in a pair of amplitudes: (-0) - (+0) is
+# the one difference that keeps a negative zero.
+SIGNED_ZEROS = StateVector(3, np.array([
+    complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+    complex(-0.0, 5e-324), complex(0.6, -0.0), complex(0.0, 0.8),
+    complex(0.0, 0.0), complex(0.0, -0.0)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gates_on_states())
+@example((Gate("H", 0), SIGNED_ZEROS))
+@example((Gate("H", 1, ((0, 0),)), SIGNED_ZEROS))
+@example((Gate("Z", 0), SIGNED_ZEROS))
+@example((Gate("X", 0, ((2, 0), (1, 1))), SIGNED_ZEROS))
+def test_views_equal_index_kernel_bit_for_bit(case):
+    gate, state = case
+    state = state.copy()
+    before = state.amplitudes.copy()
+    want = before.copy()
+    index_kernel(want, state.num_qubits, gate)
+    apply_gate(state, gate)
+    np.testing.assert_array_equal(state.amplitudes.view(np.uint64),
+                                  want.view(np.uint64))
+    expected = full_matrix(gate, state.num_qubits) @ before
+    assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
+
+
+def test_gate_on_strided_amplitudes_writes_the_array_itself():
+    rng = np.random.default_rng(5)
+    dense = random_state(4, rng)
+    backing = np.zeros(2 << 4, dtype=np.complex128)
+    backing[::2] = dense.amplitudes
+    strided = StateVector(4, backing[::2])
+    for gate in (Gate("H", 1, ((3, 0),)), Gate("X", 0), Gate("Z", 2, ((0, 1),))):
+        apply_gate(dense, gate)
+        apply_gate(strided, gate)
+    assert np.array_equal(backing[::2], dense.amplitudes)
+    assert not backing[1::2].any()
+
+
+def test_gate_on_amplitudes_of_another_shape_raises():
+    # A 2-D transpose would reshape to a copy, leaving the state unchanged.
+    grid = np.zeros((2, 2), dtype=np.complex128)
+    grid[0, 0] = 1.0
+    with pytest.raises(ShapeError):
+        apply_gate(StateVector(2, grid.T), Gate("X", 0))
+
+
+def test_gates_keep_no_memory_after_they_return():
+    # An H and an all-controls X on each qubit: index arrays kept per target
+    # would hold 2^(n+3) bytes per target, 8 MiB here.
+    n = 16
+    state = init_state(n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for q in range(n):
+            apply_gate(state, Gate("H", q))
+            apply_gate(state, Gate("X", q, tuple((c, 1) for c in range(n) if c != q)))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 4096
+
+
+@pytest.mark.parametrize("target", [0, 9, 17])
+@pytest.mark.parametrize("kind", GATE_KINDS)
+def test_gate_peak_memory_at_most_the_statevector(kind, target):
+    state = init_state(18)
+    tracemalloc.start()
+    try:
+        apply_gate(state, Gate(kind, target))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= state.amplitudes.nbytes
