@@ -81,7 +81,7 @@ def _config_bool(key: str, text: str) -> bool:
                          + "/".join(_BOOLEANS)) from None
 
 
-def _meta(args, extra: dict | None = None) -> dict:
+def _meta(args) -> dict:
     meta = {"version": __version__, "command": args.command}
     params = {
         k: v for k, v in sorted(vars(args).items())
@@ -89,8 +89,6 @@ def _meta(args, extra: dict | None = None) -> dict:
         and v is not None
     }
     meta["parameters"] = params
-    if extra:
-        meta.update(extra)
     if not getattr(args, "no_timestamp", False):
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
     return meta
@@ -140,10 +138,10 @@ def _emit_json(args, payload: dict) -> None:
 
 
 def _csv_header(args) -> list[str]:
-    return [f"# {k}={_fmt(v)}" for k, v in sorted(_meta(args).items())
-            if k != "parameters"] + [
-        f"# param.{k}={_fmt(v)}" for k, v in sorted(_meta(args)["parameters"].items())
-    ]
+    meta = _meta(args)
+    params = meta.pop("parameters")
+    return ([f"# {k}={_fmt(v)}" for k, v in sorted(meta.items())]
+            + [f"# param.{k}={_fmt(v)}" for k, v in sorted(params.items())])
 
 
 def _emit_csv(args, body: str) -> None:

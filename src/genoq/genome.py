@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,15 +16,13 @@ def encode_window(window: str) -> str:
     return "".join(BASE_BITS[b] for b in window)
 
 
-def parse_sequence(text: str | io.TextIOBase) -> str:
+def parse_sequence(text: str) -> str:
     """Parse plain or FASTA-style text into an uppercase A/T/G/C string.
 
     Header lines (starting '>') and whitespace are skipped. Any other
     character raises SequenceParseError naming its 1-based position within
     the sequence payload (headers and whitespace excluded from positions).
     """
-    if not isinstance(text, str):
-        text = text.read()
     bases = []
     pos = 0
     for line in text.splitlines():

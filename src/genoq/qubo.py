@@ -433,11 +433,9 @@ def _int(value) -> int:
 
 
 def _edge_dict(pairs) -> dict[tuple[int, int], float]:
-    out = {}
+    out: dict[tuple[int, int], float] = {}
     for i, j, w in pairs:
-        i, j = _int(i), _int(j)
-        key = (min(i, j), max(i, j))
-        out[key] = out.get(key, 0.0) + float(w)
+        _couple(out, _int(i), _int(j), float(w))
     return out
 
 

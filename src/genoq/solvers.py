@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError
@@ -77,24 +78,59 @@ class SuccessStats:
 BLOCK_ENTRIES = 1 << 14
 
 
-def _finite_scale(model: Model) -> float:
-    """The sum of |coefficients|, or ValueError when it is not finite: it
-    bounds every partial sum of every energy, so then none overflows."""
-    scale = (abs(model.offset) + sum(map(abs, model.h))
-             + sum(map(abs, model.J.values())))
+@dataclass(frozen=True)
+class PreparedModel:
+    """Everything the solvers read of a model, derived once by ``prepare``:
+    the fields ``h``, the coupling ``pairs`` (one (i, j) row each) and their
+    weights ``w``, as arrays in ``J`` order; ``scale``, the sum of
+    |coefficients|, which bounds every partial sum of every energy; and
+    ``exact``, true when every coefficient is an integer and 4 * scale < 2^53,
+    so that every field, dE and running energy is an exactly represented
+    integer, equal to ``energy`` of its state.
+
+    The SA kernel's neighbour lists are built on first use, so brute force
+    never builds them. A variable's step is the change its flip makes: +-2
+    for a spin, +-1 for a bit. ``rises[i]`` holds (j, w_ij * |step|) for each
+    neighbour j of i, the add to f_j when x_i steps up, and ``falls[i]`` the
+    same negated."""
+
+    model: Model
+    h: np.ndarray
+    pairs: np.ndarray
+    w: np.ndarray
+    scale: float
+    exact: bool
+
+    @cached_property
+    def rises(self) -> list[list[tuple[int, float]]]:
+        # Scaling by a power of two is exact: each add is bit for bit w * step.
+        size = 2 if self.model.spin else 1
+        rises = [[] for _ in range(self.model.n)]
+        for (i, j), w in self.model.J.items():
+            rises[i].append((j, w * size))
+            rises[j].append((i, w * size))
+        return rises
+
+    @cached_property
+    def falls(self) -> list[list[tuple[int, float]]]:
+        return [[(j, -up) for j, up in rise] for rise in self.rises]
+
+
+def prepare(model: Model) -> PreparedModel:
+    """The solvers' per-model inputs; ValueError when the model's energies
+    can overflow, that is when the sum of |coefficients| is not finite."""
+    coefficients = (model.offset, *model.h, *model.J.values())
+    scale = sum(map(abs, coefficients))
     if not math.isfinite(scale):
         raise ValueError("model energies overflow: the sum of |coefficients| "
                          "is not finite")
-    return scale
-
-
-def _arrays(model: Model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fields h, the coupling pairs (one (i, j) row each) and their
-    weights w, as float and index arrays in ``J`` order."""
-    h = np.asarray(model.h, dtype=float)
-    pairs = np.array(list(model.J), dtype=np.intp).reshape(-1, 2)
-    w = np.fromiter(model.J.values(), dtype=float, count=len(model.J))
-    return h, pairs, w
+    exact = (4 * scale < 2.0**53
+             and all(float(c).is_integer() for c in coefficients))
+    return PreparedModel(
+        model, np.asarray(model.h, dtype=float),
+        np.array(list(model.J), dtype=np.intp).reshape(-1, 2),
+        np.fromiter(model.J.values(), dtype=float, count=len(model.J)),
+        scale, exact)
 
 
 def _assignments(index: np.ndarray, n: int, spin: bool) -> np.ndarray:
@@ -110,13 +146,19 @@ def brute_force(model: Model) -> tuple[float, list[tuple[int, ...]]]:
     and the high n - a. Every energy is E_low[low] + E_high[high] + cross,
     the dot product of the high row [x_high W_cross^T | E_high | 1] with the
     low column [x_low ; 1 ; E_low], so a block of high rows gets all its
-    energies from one matmul against the table of every low column. When
-    every coefficient is an integer and their |values| sum below 2^53, each
-    entry is exact in any summation order. Optima (within 1e-12 of the
-    running best) come in ascending index order; the reported energy is
-    ``energy`` of the first, so it does not depend on the matmul's summation
-    order, and only candidates whose ``energy`` is within 1e-12 of it are
-    kept.
+    energies from one matmul against the table of every low column.
+
+    The matmul and ``energy`` add up the same m = 1 + n + |J| terms in
+    different orders. Every partial sum is at most ``scale`` (the sum of
+    |coefficients|) in size, so each is within m * 2^-53 * scale of the
+    exact energy, to first order, and the two differ by at most
+    d = 4 * m * 2^-53 * scale; on an ``exact`` model every entry is exact in
+    any order and d = 0. Candidates are the states within 1e-12 + 2d of the
+    running best by matmul, which holds every state within 1e-12 of the
+    optimum by ``energy``. They come in ascending index order; the reported
+    energy is ``energy`` of the first within 1e-12 of the lowest candidate's,
+    so it does not depend on the matmul's summation order, and only
+    candidates whose ``energy`` is within 1e-12 of it are kept.
 
     A field-free Ising model has E(x) = E(-x), bit for bit, so for n >= 2
     only the high rows whose top variable is -1 (indices below 2^(n-1)) are
@@ -128,11 +170,13 @@ def brute_force(model: Model) -> tuple[float, list[tuple[int, ...]]]:
         raise CapacityError(
             f"{n} variables exceeds brute-force cap {BRUTE_FORCE_MAX_VARS}"
         )
-    _finite_scale(model)
+    prepared = prepare(model)
+    h, pairs, w = prepared.h, prepared.pairs, prepared.w
+    d = 0.0 if prepared.exact else 2.0**-51 * (1 + n + len(w)) * prepared.scale
+    window = 1e-12 + 2 * d
     spin = model.spin
     mirror = spin and n >= 2 and not any(model.h)
     a = (n + 1) // 2
-    arrays = h, pairs, w = _arrays(model)
     W = np.zeros((n, n))
     W[pairs[:, 0], pairs[:, 1]] = w
     lo = _assignments(np.arange(1 << a), a, spin).astype(float)
@@ -151,82 +195,42 @@ def brute_force(model: Model) -> tuple[float, list[tuple[int, ...]]]:
     for start in range(0, len(left), rows):
         e = left[start:start + rows] @ right
         low = float(e.min())
-        if low < best_e - 1e-12:
+        if low < best_e - window:
             best_e, optima = low, []
-        if low <= best_e + 1e-12:
-            # Every entry is >= low >= best_e - 1e-12: one compare suffices.
-            optima.append((start << a) + np.flatnonzero(e <= best_e + 1e-12))
+        if low <= best_e + window:
+            # Every entry is >= low >= best_e - window: one compare suffices.
+            optima.append((start << a) + np.flatnonzero(e <= best_e + window))
     index = np.concatenate(optima)
     if mirror:
         index = np.concatenate([index, (1 << n) - 1 - index[::-1]])
-    return _ties(model, _assignments(index, n, spin), arrays)
+    return _ties(prepared, _assignments(index, n, spin))
 
 
-def _energies(model: Model, values: np.ndarray, arrays) -> np.ndarray:
+def _energies(prepared: PreparedModel, values: np.ndarray) -> np.ndarray:
     """``energy`` of every row of ``values``, bit for bit: its terms and
     products, summed left to right (``accumulate``) in its order, over blocks
-    of rows of about ``BLOCK_ENTRIES`` terms; ``arrays`` is
-    ``_arrays(model)``."""
-    h, pairs, w = arrays
+    of rows of about ``BLOCK_ENTRIES`` terms."""
+    h, pairs, w = prepared.h, prepared.pairs, prepared.w
     rows = max(1, BLOCK_ENTRIES // (1 + len(h) + len(w)))
     energies = []
     for start in range(0, len(values), rows):
         v = values[start:start + rows].T.astype(float)
-        terms = np.concatenate([np.full((1, v.shape[1]), float(model.offset)),
-                                h[:, None] * v,
-                                w[:, None] * v[pairs[:, 0]] * v[pairs[:, 1]]])
+        terms = np.concatenate([
+            np.full((1, v.shape[1]), float(prepared.model.offset)),
+            h[:, None] * v, w[:, None] * v[pairs[:, 0]] * v[pairs[:, 1]]])
         energies.append(np.add.accumulate(terms)[-1])
     return np.concatenate(energies)
 
 
-def _ties(model: Model, values: np.ndarray,
-          arrays) -> tuple[float, list[tuple[int, ...]]]:
-    """``energy`` of the first row, and every row whose ``energy`` is within
-    1e-12 of it, in order. ``arrays`` is ``_arrays(model)``."""
-    best_e = energy(model, values[0].tolist())
-    keep = np.abs(_energies(model, values, arrays) - best_e) <= 1e-12
+def _ties(prepared: PreparedModel,
+          values: np.ndarray) -> tuple[float, list[tuple[int, ...]]]:
+    """``energy`` of the first row within 1e-12 of the lowest, and every row
+    whose ``energy`` is within 1e-12 of it, in order. A row past that margin
+    is one that only the matmul's rounding window let in."""
+    energies = _energies(prepared, values)
+    best_e = float(energies[np.argmax(energies - energies.min() <= 1e-12)])
+    keep = np.abs(energies - best_e) <= 1e-12
     return best_e, list(map(tuple, values[keep].tolist()))
-
-
-@dataclass(frozen=True)
-class PreparedModel:
-    """What the SA kernel reads of a model, built once by ``prepare``.
-
-    A variable's step is the change its flip makes: +-2 for a spin, +-1 for
-    a bit. ``rises[i]`` holds (j, w_ij * |step|) for each neighbour j of i,
-    the add to f_j when x_i steps up, and ``falls[i]`` the same negated.
-    ``exact`` is true when every coefficient is an integer and 4 * sum of
-    |coefficients| < 2^53: then every field, dE and running energy is an
-    exactly represented integer, equal to ``energy`` of its state."""
-
-    model: Model
-    h: np.ndarray
-    pairs: np.ndarray
-    w: np.ndarray
-    rises: list[list[tuple[int, float]]]
-    falls: list[list[tuple[int, float]]]
-    exact: bool
-
-
-def prepare(model: Model) -> PreparedModel:
-    """The SA kernel's per-model inputs; ValueError when the model's
-    energies can overflow."""
-    scale = _finite_scale(model)
-    size = 2 if model.spin else 1
-    rises: list[list[tuple[int, float]]] = [[] for _ in range(model.n)]
-    falls: list[list[tuple[int, float]]] = [[] for _ in range(model.n)]
-    for (i, j), w in model.J.items():
-        # Scaling by a power of two and negating are exact: these adds are
-        # bit for bit w * step.
-        up = w * size
-        rises[i].append((j, up))
-        falls[i].append((j, -up))
-        rises[j].append((i, up))
-        falls[j].append((i, -up))
-    coefficients = (model.offset, *model.h, *model.J.values())
-    exact = (4 * scale < 2.0**53
-             and all(float(c).is_integer() for c in coefficients))
-    return PreparedModel(model, *_arrays(model), rises, falls, exact)
 
 
 SWEEPS_PER_DRAW = 8  # sweeps per block of the estimator's draws

@@ -803,15 +803,19 @@ def test_tts_scan_golden_output_without_brute_force(capsys, monkeypatch):
 
 
 def test_tts_scan_prepares_each_model_once(capsys, monkeypatch):
-    # Every preparation builds the model's arrays once; every t's estimate
+    # Each model is prepared once, wherever ``prepare`` is called from, and
+    # its neighbour lists are built for the SA runs; every t's estimate
     # still goes through estimate_success_probability.
-    calls = {}
-    for module, name in ((solvers, "_arrays"),
+    calls, prepared = {}, []
+    for module, name in ((solvers, "prepare"), (tts, "prepare"),
                          (tts, "estimate_success_probability")):
         def counted(*args, name=name, original=getattr(module, name),
                     **kwargs):
             calls[name] = calls.get(name, 0) + 1
-            return original(*args, **kwargs)
+            result = original(*args, **kwargs)
+            if name == "prepare":
+                prepared.append(result)
+            return result
 
         monkeypatch.setattr(module, name, counted)
     code, out, _ = run_cli(
@@ -819,7 +823,8 @@ def test_tts_scan_prepares_each_model_once(capsys, monkeypatch):
          "--runs", "8", "--seed", "5", "--no-timestamp"], capsys)
     assert code == 0
     assert out == TTS_GOLDEN
-    assert calls == {"_arrays": 3, "estimate_success_probability": 15}
+    assert calls == {"prepare": 3, "estimate_success_probability": 15}
+    assert all("rises" in vars(p) and "falls" in vars(p) for p in prepared)
 
 
 def test_tts_scan_gives_every_model_and_estimate_its_own_seed(capsys, monkeypatch):

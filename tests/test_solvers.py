@@ -126,6 +126,9 @@ NEAR_TIE_THIRDS = IsingModel(6, (2 / 3, -1.0, -4 / 3, 4 / 3, 4 / 3, -2 / 3),
 @example(model=BinaryModel(3, (-0.1, -0.2, -0.3), {(0, 2): 0.3, (1, 2): 0.3}))
 @example(model=IsingModel(3, (-0.1, 0.1, -0.2), {(0, 1): 0.1, (0, 2): 0.2}, -0.3))
 @example(model=NEAR_TIE_THIRDS)
+# State 0 lies one ulp more than 1e-12 above the optimum -x: the rounding
+# window lets it in as the first candidate, but it is not an optimum.
+@example(model=BinaryModel(2, (0.0, -math.nextafter(1e-12, 1.0))))
 def test_brute_force_energy_is_exact_on_real_weights(model):
     _, energies = reference_enumeration(model)
     best_e, best = brute_force(model)
@@ -166,16 +169,52 @@ def test_field_free_brute_force_equals_reference(model):
         assert len(best) == 1 << model.n
 
 
+def capture_prepared(monkeypatch):
+    """The list that every later ``solvers.prepare`` call appends its
+    result to."""
+    prepared = []
+    original = solvers.prepare
+
+    def capturing(model):
+        prepared.append(original(model))
+        return prepared[-1]
+
+    monkeypatch.setattr(solvers, "prepare", capturing)
+    return prepared
+
+
+BRUTE_MODELS = (chain_ferromagnet(9), NEAR_TIE_THIRDS,
+                random_model(np.random.default_rng(0), 9, BinaryModel))
+
+
 def test_brute_force_builds_model_arrays_once(monkeypatch):
-    calls = []
-    arrays = solvers._arrays
-    monkeypatch.setattr(solvers, "_arrays",
-                        lambda model: calls.append(model) or arrays(model))
-    for model in (chain_ferromagnet(9), NEAR_TIE_THIRDS,
-                  random_model(np.random.default_rng(0), 9, BinaryModel)):
-        calls.clear()
+    prepared = capture_prepared(monkeypatch)
+    for model in BRUTE_MODELS:
+        prepared.clear()
         brute_force(model)
-        assert calls == [model]
+        assert [p.model for p in prepared] == [model]
+
+
+def test_brute_force_never_builds_neighbour_lists(monkeypatch):
+    prepared = capture_prepared(monkeypatch)
+    for model in BRUTE_MODELS:
+        brute_force(model)
+    assert len(prepared) == len(BRUTE_MODELS)
+    for p in prepared:
+        assert "rises" not in vars(p) and "falls" not in vars(p)
+
+
+# All 16 states are optima: each ``energy`` is within 1e-12 of -1.0. The 4
+# with x2 = x3 = 1 have matmul energies that round past -1.0 + 1e-12, so a
+# candidate window of 1e-12 alone drops them.
+FOUR_NEAR_TIES = BinaryModel(4, (0.0, 0.0, float.fromhex("0x1.19799812dea11p-40"),
+                                 float.fromhex("0x1.8dcf1bba60898p-55")), {}, -1.0)
+
+
+def test_brute_force_keeps_optima_past_the_matmul_rounding():
+    best_e, best = brute_force(FOUR_NEAR_TIES)
+    assert best_e == -1.0
+    assert len(best) == 16
 
 
 @pytest.mark.parametrize("block", [1, 8, 64, "row"])
@@ -196,6 +235,7 @@ def test_brute_force_builds_model_arrays_once(monkeypatch):
 @example(model=BinaryModel(5, (1.0, -4 / 3, -1 / 3, 2 / 3, -2 / 3),
                            {(1, 2): 4 / 3, (1, 3): 4 / 3, (1, 4): 4 / 3,
                             (2, 3): -4 / 3, (3, 4): 1 / 3}, -1.0))
+@example(model=FOUR_NEAR_TIES)
 def test_brute_force_ignores_block_size(block, model):
     # Blocks of 1, 8 and 64 energies split runs of optima and ties across
     # block boundaries, and "row" gives each high row (1 << a energies) its
@@ -224,10 +264,10 @@ def test_tie_filter_equals_energy_list_filter(model):
     rows, energies = reference_enumeration(model)
     start = int(np.argmin(energies))
     rows, energies = rows[start:] + rows[:start], energies[start:] + energies[:start]
-    values, arrays = np.array(rows), solvers._arrays(model)
-    assert solvers._energies(model, values, arrays).tolist() == energies
+    values, prepared = np.array(rows), solvers.prepare(model)
+    assert solvers._energies(prepared, values).tolist() == energies
     first = energies[0]
-    assert solvers._ties(model, values, arrays) == (
+    assert solvers._ties(prepared, values) == (
         first, [a for a in rows if abs(energy(model, a) - first) <= 1e-12])
 
 
