@@ -22,7 +22,7 @@ from .errors import (
     SequenceParseError,
     ShapeError,
 )
-from .genome import BASE_BITS, build_window_db, parse_sequence
+from .genome import build_window_db, parse_sequence, upper_bases
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -238,13 +238,9 @@ def cmd_grover_demo(args) -> int:
 
 def _parse_key(text: str) -> str:
     """The --key bases, uppercased; rejected like a bad genome base."""
-    for pos, ch in enumerate(text, 1):
-        if ch.upper() not in BASE_BITS:
-            raise SequenceParseError(
-                f"invalid base {ch!r} at position {pos} of --key", pos)
     if not text:
         raise SequenceParseError("empty --key", 0)
-    return text.upper()
+    return upper_bases(text, " of --key")
 
 
 def cmd_grover_search(args) -> int:
@@ -261,20 +257,19 @@ def cmd_grover_search(args) -> int:
             f"(index {layout.index_qubits} + data {layout.data_qubits} + "
             f"flag {layout.flag_qubits}), ceiling is {args.max_qubits}"
         )
-    scan = grover.classical_scan(db, key, 0)
+    scan = grover.classical_scan(db, key)
     iterations = args.iterations
     if iterations is None:
         iterations = grover.optimal_iterations(db.count, max(1, len(scan)))
     run = grover.run_search(problem, iterations=iterations,
                             shots=args.shots, seed=args.seed)
-    scan_indices = sorted(i for i, _ in scan)
     payload = {
         "iterations": run.iterations,
         "p_exact": run.p_exact,
         "histogram": run.histogram,
         "matches": run.matches,
-        "classical_scan": scan_indices,
-        "agreement": sorted(run.matched_indices) == scan_indices,
+        "classical_scan": scan,
+        "agreement": sorted(run.matched_indices) == scan,
     }
     _emit_json(args, payload)
     return EXIT_OK

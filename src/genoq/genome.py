@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,11 +10,24 @@ import numpy as np
 from .errors import SequenceParseError
 
 BASE_BITS = {"A": "00", "T": "01", "G": "10", "C": "11"}
+_NOT_A_BASE = re.compile("[^ACGTacgt]")
 
 
 def encode_window(window: str) -> str:
     """2-bit-per-base encoding; leftmost base occupies the highest data bits."""
     return "".join(BASE_BITS[b] for b in window)
+
+
+def upper_bases(text: str, where: str = "") -> str:
+    """``text`` uppercased; SequenceParseError at its first character outside
+    ``ACGTacgt``, naming it and its 1-based position (then ``where``). Only
+    these eight characters uppercase into ``BASE_BITS``'s keys."""
+    bad = _NOT_A_BASE.search(text)
+    if bad:
+        pos = bad.start() + 1
+        raise SequenceParseError(
+            f"invalid base {bad.group()!r} at position {pos}{where}", pos)
+    return text.upper()
 
 
 def parse_sequence(text: str) -> str:
@@ -22,23 +36,10 @@ def parse_sequence(text: str) -> str:
     Header lines (starting '>') and whitespace are skipped. Any other
     character raises SequenceParseError naming its 1-based position within
     the sequence payload (headers and whitespace excluded from positions).
+    ``str.split()`` splits on exactly the characters ``str.isspace`` accepts.
     """
-    bases = []
-    pos = 0
-    for line in text.splitlines():
-        if line.startswith(">"):
-            continue
-        for ch in line:
-            if ch.isspace():
-                continue
-            pos += 1
-            up = ch.upper()
-            if up not in BASE_BITS:
-                raise SequenceParseError(
-                    f"invalid base {ch!r} at position {pos}", pos
-                )
-            bases.append(up)
-    seq = "".join(bases)
+    payload = [line for line in text.splitlines() if not line.startswith(">")]
+    seq = upper_bases("".join("".join(payload).split()))
     if not seq:
         raise SequenceParseError("empty sequence", 0)
     return seq

@@ -246,16 +246,17 @@ def run_search(problem: SearchProblem, iterations: int, shots: int,
     )
 
 
-def classical_scan(db: ReadWindowDatabase, key: str,
-                   max_mismatches: int = 0) -> set[tuple[int, int]]:
-    """Exhaustive Hamming scan over base symbols; the verification baseline."""
-    out = set()
-    for i in range(db.count):
-        window = db.window_string(i)
-        mism = sum(a != b for a, b in zip(window, key))
-        if mism <= max_mismatches:
-            out.add((i, mism))
-    return out
+def classical_scan(db: ReadWindowDatabase, key: str) -> list[int]:
+    """The verification baseline: the ascending indices of the windows equal
+    to ``key`` (of the window length), found by repeated ``str.find`` over
+    the genome. It reads no window codes, so it checks the marking of
+    ``slot_amplitudes`` independently, at any key length."""
+    hits = []
+    i = db.genome.find(key)
+    while i != -1:
+        hits.append(i)
+        i = db.genome.find(key, i + 1)
+    return hits
 
 
 def search_unknown_count(problem: SearchProblem, seed: int,

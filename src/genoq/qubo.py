@@ -1,9 +1,8 @@
 """Ising/QUBO encoders for genomics optimization problems.
 
-All encoders target a common quadratic model over spins (+-1) or bits (0/1),
-with exact conversion between the two conventions. Constraint penalties use
-A = 1 + sum(|objective coefficients|) for the relevant family, a sufficient
-(not minimal) separation bound.
+All encoders target a common quadratic model over spins (+-1) or bits (0/1).
+Constraint penalties use A = 1 + sum(|objective coefficients|) for the
+relevant family, a sufficient (not minimal) separation bound.
 """
 
 from __future__ import annotations
@@ -75,32 +74,6 @@ def energy(model: Model, assignment: Sequence[int]) -> float:
     for (i, j), jij in model.J.items():
         e += jij * assignment[i] * assignment[j]
     return e
-
-
-def binary_to_ising(model: BinaryModel) -> IsingModel:
-    """Exact change of variables x = (1 + s) / 2."""
-    h = [a / 2.0 for a in model.h]
-    offset = model.offset + sum(model.h) / 2.0
-    J = {}
-    for (i, j), b in model.J.items():
-        J[(i, j)] = b / 4.0
-        h[i] += b / 4.0
-        h[j] += b / 4.0
-        offset += b / 4.0
-    return IsingModel(model.n, tuple(h), J, offset)
-
-
-def ising_to_binary(model: IsingModel) -> BinaryModel:
-    """Exact change of variables s = 2x - 1."""
-    h = [2.0 * hi for hi in model.h]
-    offset = model.offset - sum(model.h)
-    J = {}
-    for (i, j), jij in model.J.items():
-        J[(i, j)] = 4.0 * jij
-        h[i] -= 2.0 * jij
-        h[j] -= 2.0 * jij
-        offset += jij
-    return BinaryModel(model.n, tuple(h), J, offset)
 
 
 def spins_to_bits(spins: Sequence[int]) -> list[int]:

@@ -154,11 +154,13 @@ def brute_force(model: Model) -> tuple[float, list[tuple[int, ...]]]:
     exact energy, to first order, and the two differ by at most
     d = 4 * m * 2^-53 * scale; on an ``exact`` model every entry is exact in
     any order and d = 0. Candidates are the states within 1e-12 + 2d of the
-    running best by matmul, which holds every state within 1e-12 of the
-    optimum by ``energy``. They come in ascending index order; the reported
-    energy is ``energy`` of the first within 1e-12 of the lowest candidate's,
-    so it does not depend on the matmul's summation order, and only
-    candidates whose ``energy`` is within 1e-12 of it are kept.
+    lowest matmul energy, which holds every state within 1e-12 of the
+    optimum by ``energy``; those kept against a running best that a later
+    block lowers are filtered again, so the set does not depend on the block
+    size. They come in ascending index order. The optimum is one rule, exact
+    and independent of the matmul's summation order: the reported energy is
+    the minimum of ``energy`` over the candidates, and the optima are every
+    candidate whose ``energy`` is within 1e-12 of it.
 
     A field-free Ising model has E(x) = E(-x), bit for bit, so for n >= 2
     only the high rows whose top variable is -1 (indices below 2^(n-1)) are
@@ -191,16 +193,18 @@ def brute_force(model: Model) -> tuple[float, list[tuple[int, ...]]]:
     del hi
     rows = max(1, BLOCK_ENTRIES >> a)
     best_e = math.inf
-    optima: list[np.ndarray] = []
+    found: list[tuple[np.ndarray, np.ndarray]] = []  # (indices, energies)
     for start in range(0, len(left), rows):
-        e = left[start:start + rows] @ right
+        e = (left[start:start + rows] @ right).ravel()
         low = float(e.min())
-        if low < best_e - window:
-            best_e, optima = low, []
+        if low < best_e:
+            best_e = low
+            found = [(i[v <= low + window], v[v <= low + window])
+                     for i, v in found]
         if low <= best_e + window:
-            # Every entry is >= low >= best_e - window: one compare suffices.
-            optima.append((start << a) + np.flatnonzero(e <= best_e + window))
-    index = np.concatenate(optima)
+            keep = np.flatnonzero(e <= best_e + window)
+            found.append(((start << a) + keep, e[keep]))
+    index = np.concatenate([i for i, _ in found])
     if mirror:
         index = np.concatenate([index, (1 << n) - 1 - index[::-1]])
     return _ties(prepared, _assignments(index, n, spin))
@@ -224,12 +228,13 @@ def _energies(prepared: PreparedModel, values: np.ndarray) -> np.ndarray:
 
 def _ties(prepared: PreparedModel,
           values: np.ndarray) -> tuple[float, list[tuple[int, ...]]]:
-    """``energy`` of the first row within 1e-12 of the lowest, and every row
-    whose ``energy`` is within 1e-12 of it, in order. A row past that margin
-    is one that only the matmul's rounding window let in."""
+    """The lowest ``energy`` of the rows (its first occurrence, for the sign
+    of a zero), and every row whose ``energy`` is within 1e-12 of it, in
+    order. A row past that margin is one that only the matmul's rounding
+    window let in."""
     energies = _energies(prepared, values)
-    best_e = float(energies[np.argmax(energies - energies.min() <= 1e-12)])
-    keep = np.abs(energies - best_e) <= 1e-12
+    best_e = float(energies[np.argmin(energies)])
+    keep = energies - best_e <= 1e-12
     return best_e, list(map(tuple, values[keep].tolist()))
 
 
@@ -266,10 +271,11 @@ def _anneal(prepared: PreparedModel, schedule: AnnealSchedule,
     bits = rng.integers(0, 2, size=(runs, n))
     start_vals = 2 * bits - 1 if spin else bits
     h, pairs, w = prepared.h, prepared.pairs, prepared.w
-    start_fields = np.tile(h, (runs, 1))
-    # Coupling (i, j) adds w * v_j to f_i, then w * v_i to f_j.
-    np.add.at(start_fields, (slice(None), pairs.ravel()),
-              np.repeat(w, 2) * start_vals[:, pairs[:, ::-1].ravel()])
+    start_fields = np.tile(h, runs)
+    # Coupling (i, j) adds w * v_j to f_i, then w * v_i to f_j, run by run.
+    np.add.at(start_fields, (n * np.arange(runs)[:, None] + pairs.ravel()).ravel(),
+              (np.repeat(w, 2) * start_vals[:, pairs[:, ::-1].ravel()]).ravel())
+    start_fields = start_fields.reshape(runs, n)
     # Left to right from a leading 0.0, as sum() adds from 0.
     terms = np.zeros((runs, n + 1))
     terms[:, 1:] = start_vals * (h + start_fields)

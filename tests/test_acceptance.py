@@ -99,13 +99,13 @@ def test_acceptance_5_grover_oracle():
         db = build_window_db(genome, m)
         start = int(rng.integers(0, db.count))
         key = genome[start : start + m]
-        scan = grover.classical_scan(db, key, 0)
+        scan = grover.classical_scan(db, key)
         if len(scan) != 1:
             continue  # unique planted key only
         problem = grover.make_problem(db, key)
         k = grover.optimal_iterations(db.padded_size, 1)
         index, data = _argmax_decode(problem, k)
-        agree &= (index, 0) in scan and data == int(encode_window(key), 2)
+        agree &= scan == [index] and data == int(encode_window(key), 2)
         checked += 1
 
     # Closed form: s matches among padded_size slots, theta = asin(sqrt(s/P)).

@@ -168,8 +168,9 @@ def test_grover_search_bad_base_exits_three(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, message", [
     ("AN", "invalid base 'N' at position 2 of --key"),
+    ("a t", "invalid base ' ' at position 2 of --key"),
     ("", "empty --key"),
-], ids=["non-acgt", "empty"])
+], ids=["non-acgt", "whitespace", "empty"])
 def test_grover_search_bad_key_exits_three(tmp_path, capsys, key, message):
     genome = tmp_path / "g.txt"
     genome.write_text("ATGCATGC\n")

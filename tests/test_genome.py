@@ -1,9 +1,12 @@
+import sys
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genoq.errors import SequenceParseError
 from genoq.genome import (
+    BASE_BITS,
     build_window_db,
     encode_window,
     layout_for,
@@ -40,6 +43,66 @@ def test_parse_multiline_whitespace():
 def test_parse_empty():
     with pytest.raises(SequenceParseError):
         parse_sequence(">only header\n")
+
+
+CODE_POINTS = range(sys.maxunicode + 1)
+WHITESPACE = [chr(c) for c in CODE_POINTS if chr(c).isspace()]
+
+
+def test_whitespace_and_case_folding_over_all_code_points():
+    # The fast path's two premises: str.split() splits on exactly the
+    # characters str.isspace accepts, and only ASCII acgt uppercase into a base.
+    assert len(WHITESPACE) == 29
+    assert "".join(WHITESPACE).split() == []
+    rest = "".join(chr(c) for c in CODE_POINTS if not chr(c).isspace())
+    assert rest.split() == [rest]
+    assert [chr(c) for c in CODE_POINTS
+            if chr(c).upper() in BASE_BITS] == list("ACGTacgt")
+
+
+def reference_parse(text):
+    """The per-character reader: ``(sequence, None)``, or ``(None, (message,
+    position))`` for the SequenceParseError it raises."""
+    bases = []
+    pos = 0
+    for line in text.splitlines():
+        if line.startswith(">"):
+            continue
+        for ch in line:
+            if ch.isspace():
+                continue
+            pos += 1
+            up = ch.upper()
+            if up not in BASE_BITS:
+                return None, (f"invalid base {ch!r} at position {pos}", pos)
+            bases.append(up)
+    seq = "".join(bases)
+    return (seq, None) if seq else (None, ("empty sequence", 0))
+
+
+# Bases, every whitespace character (the line breaks among them end header
+# lines), '>' and invalid characters, non-ASCII and case-folding ones included.
+FASTA_CHARS = st.one_of(
+    st.sampled_from(list("ACGTacgt") + WHITESPACE + [">"]),
+    st.sampled_from(list("NnUx-*0\u00df\u0131\u017f\u212a\u00e0\ud800")),
+    st.characters())
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(st.text(FASTA_CHARS, max_size=12),
+                          st.text(FASTA_CHARS, max_size=12).map(">".__add__)))
+       .map("\n".join))
+@example(">chr\r\nAT GC\x1cTT\u2028>x N\nG\x85a")
+@example("\u00a0ACG\u3000t\nN")
+@example(" \n\t>")
+def test_parse_equals_per_character_reference(text):
+    seq, error = reference_parse(text)
+    if error is None:
+        assert parse_sequence(text) == seq
+    else:
+        with pytest.raises(SequenceParseError) as exc:
+            parse_sequence(text)
+        assert (str(exc.value), exc.value.position) == error
 
 
 def test_window_db_toy():

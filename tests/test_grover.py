@@ -204,7 +204,7 @@ def test_run_search_matches_classical_scan():
         db = build_window_db(genome, m)
         start = int(rng.integers(0, db.count))
         key = genome[start : start + m]
-        scan = grover.classical_scan(db, key, 0)
+        scan = grover.classical_scan(db, key)
         if len(scan) != 1:
             continue
         problem = grover.make_problem(db, key)
@@ -212,7 +212,7 @@ def test_run_search_matches_classical_scan():
         run = grover.run_search(problem, iterations=k, shots=256, seed=int(rng.integers(1 << 30)))
         top = max(run.histogram, key=run.histogram.get)
         index, data = grover.decode_outcome(problem, top)
-        assert {(index, 0)} == scan
+        assert [index] == scan
 
 
 def test_success_probability_closed_form_small():
@@ -238,10 +238,24 @@ def test_single_window_database():
 
 def test_classical_scan_examples():
     db = build_window_db("TATG", 1)
-    assert grover.classical_scan(db, "A", 0) == {(1, 0)}
-    assert grover.classical_scan(db, "G", 1) == {(0, 1), (1, 1), (2, 1), (3, 0)}
-    db2 = build_window_db("ATGC", 2)
-    assert grover.classical_scan(db2, "AT", 2) == {(0, 0), (1, 2), (2, 2)}
+    assert grover.classical_scan(db, "A") == [1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text("ACGT", min_size=1, max_size=80).flatmap(
+    lambda genome: st.tuples(st.just(genome), st.one_of(
+        st.integers(0, len(genome) - 1).flatmap(lambda i: st.integers(
+            i + 1, len(genome)).map(lambda j: genome[i:j])),
+        st.text("ACGT", min_size=1, max_size=len(genome))))))
+@example(("AAAA", "AA"))  # overlapping repeats
+@example(("ACGTACGT", "TT"))  # absent
+@example(("AC" * 40, "AC" * 16))  # 32 bases: past the int64 codes
+@example(("A" * 33, "A" * 32))
+def test_classical_scan_equals_window_compare(case):
+    genome, key = case
+    db = build_window_db(genome, len(key))
+    assert grover.classical_scan(db, key) == [
+        i for i in range(db.count) if db.window_string(i) == key]
 
 
 def test_search_unknown_count_repeated_key():
@@ -330,13 +344,13 @@ def test_slot_evolution_matches_gate_circuits(case, seed):
     basis = [basis_index(layout, j, int(codes[j if j < db.count else 0]),
                          flag=int(j >= db.count))
              for j in range(db.padded_size)]
-    scan = {i for i, _ in grover.classical_scan(db, key)}
+    scan = grover.classical_scan(db, key)
     for k in range(5):
         if k:
             run_circuit(circuits.oracle, gates)
             run_circuit(circuits.diffusion, gates)
         _, marked, amps = grover.slot_amplitudes(problem, k)
-        assert set(marked.tolist()) == scan
+        assert marked.tolist() == scan
         # Embedded in the full register, with zeros off the slot span.
         embedded = np.zeros_like(gates.amplitudes)
         embedded[basis] = amps

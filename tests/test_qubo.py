@@ -1,9 +1,8 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genoq import qubo
@@ -17,11 +16,9 @@ from genoq.qubo import (
     assembly_to_qubo,
     best_assembly_path,
     best_knapsack,
-    binary_to_ising,
     cut_weight,
     energy,
     is_independent_set,
-    ising_to_binary,
     knapsack_to_qubo,
     maxcut_to_ising,
     mis_to_qubo,
@@ -101,60 +98,6 @@ def test_model_term_validation():
         IsingModel(2, (0.0, 0.0), {(0, 0): 1.0})
     with pytest.raises(ShapeError):
         BinaryModel(3, (0.0, 0.0))
-
-
-def test_spin_binary_round_trip_exact():
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        n = int(rng.integers(1, 9))
-        h = tuple(rng.normal(size=n))
-        J = {(i, j): float(rng.normal()) for i in range(n)
-             for j in range(i + 1, n) if rng.random() < 0.5}
-        ising = IsingModel(n, h, J, float(rng.normal()))
-        binary = ising_to_binary(ising)
-        for spins in all_assignments(n, (-1, 1)):
-            bits = spins_to_bits(spins)
-            assert energy(binary, bits) == pytest.approx(
-                energy(ising, spins), abs=1e-9)
-        back = binary_to_ising(binary)
-        for spins in all_assignments(n, (-1, 1)):
-            assert energy(back, spins) == pytest.approx(
-                energy(ising, spins), abs=1e-9)
-
-
-def _other_convention(model):
-    """The model converted to the other convention, and the matching map of
-    assignments into it."""
-    if isinstance(model, BinaryModel):
-        return binary_to_ising(model), lambda bits: [2 * x - 1 for x in bits]
-    return ising_to_binary(model), spins_to_bits
-
-
-def _energy_pairs(model):
-    other, to_other = _other_convention(model)
-    alphabet = (-1, 1) if isinstance(model, IsingModel) else (0, 1)
-    for a in all_assignments(model.n, alphabet):
-        yield energy(model, a), energy(other, to_other(a))
-
-
-@settings(max_examples=100, deadline=None)
-@given(model=quadratic_models(st.integers(-1000, 1000).map(float), max_n=8))
-def test_conversion_keeps_energy_exactly_on_integer_weights(model):
-    for e, e_other in _energy_pairs(model):
-        assert e == e_other
-
-
-@settings(max_examples=100, deadline=None)
-@given(model=quadratic_models(st.floats(-1e3, 1e3), max_n=8))
-@example(model=BinaryModel(1, (5e-324,), {}, 0.0))
-def test_conversion_keeps_energy_on_real_weights(model):
-    # Relative to the model's total coefficient size, since the energy itself
-    # can cancel to zero, plus one smallest subnormal per term: halving 5e-324
-    # cannot be exact, and the relative bound underflows to 0 there.
-    scale = abs(model.offset) + sum(map(abs, model.h)) + sum(map(abs, model.J.values()))
-    ulps = (1 + model.n + len(model.J)) * math.ulp(0.0)
-    for e, e_other in _energy_pairs(model):
-        assert abs(e - e_other) <= 1e-9 * scale + ulps
 
 
 def test_bits_spins_helpers():

@@ -112,6 +112,18 @@ def test_brute_force_equals_reference_on_exact_weights(model):
 # high rows 4, 5 and 6.
 NEAR_TIE_THIRDS = IsingModel(6, (2 / 3, -1.0, -4 / 3, 4 / 3, 4 / 3, -2 / 3),
                              {(0, 1): 2 / 3, (0, 5): 2 / 3, (3, 4): 4 / 3}, 2 / 3)
+# Chained near ties: states 0, 1 and 2 have energies 1.5e-12, 8e-13 and 0.0.
+# The optima are 1 and 2, within 1e-12 of the minimum 0.0; state 0 is within
+# 1e-12 of state 1 but not of the minimum.
+CHAINED_NEAR_TIES = BinaryModel(2, (-0.7e-12, -1.5e-12), {(0, 1): 1.0}, 1.5e-12)
+# High rows 0, 1 and 2 (one block each, in blocks of a row) have energies 0,
+# -0.9e-12 and -1.1e-12: row 1 is optimal but lies more than 1e-12 above the
+# best of the block before it, and a later block lowers the best.
+CHAINED_ROWS = BinaryModel(4, (0.0, 0.0, -0.9e-12, -1.1e-12), {(2, 3): 1.0})
+
+
+def test_brute_force_reports_the_minimum_of_chained_near_ties():
+    assert brute_force(CHAINED_NEAR_TIES) == (0.0, [(1, 0), (0, 1)])
 
 
 @settings(max_examples=80, deadline=None)
@@ -129,13 +141,15 @@ NEAR_TIE_THIRDS = IsingModel(6, (2 / 3, -1.0, -4 / 3, 4 / 3, 4 / 3, -2 / 3),
 # State 0 lies one ulp more than 1e-12 above the optimum -x: the rounding
 # window lets it in as the first candidate, but it is not an optimum.
 @example(model=BinaryModel(2, (0.0, -math.nextafter(1e-12, 1.0))))
+@example(model=CHAINED_NEAR_TIES)
 def test_brute_force_energy_is_exact_on_real_weights(model):
-    _, energies = reference_enumeration(model)
+    # One rule: the optimum is the minimum of ``energy``, and the optima are
+    # every state within 1e-12 of it, in index order.
+    assignments, energies = reference_enumeration(model)
     best_e, best = brute_force(model)
-    assert best_e == energy(model, best[0])
-    assert abs(min(energies) - best_e) <= 1e-12
-    for a in best:
-        assert abs(energy(model, a) - best_e) <= 1e-12
+    assert best_e == min(energies)
+    assert best == [a for a, e in zip(assignments, energies)
+                    if abs(e - best_e) <= 1e-12]
 
 
 def field_free(model):
@@ -161,8 +175,7 @@ def test_field_free_brute_force_equals_reference(model):
     # in index order, must come out. With J = {} all 2^n states are optimal.
     assignments, energies = reference_enumeration(model)
     best_e, best = brute_force(model)
-    assert best_e == energy(model, best[0])
-    assert abs(min(energies) - best_e) <= 1e-12
+    assert best_e == min(energies)
     assert best == [a for a, e in zip(assignments, energies)
                     if abs(e - best_e) <= 1e-12]
     if not model.J:
@@ -236,6 +249,8 @@ def test_brute_force_keeps_optima_past_the_matmul_rounding():
                            {(1, 2): 4 / 3, (1, 3): 4 / 3, (1, 4): 4 / 3,
                             (2, 3): -4 / 3, (3, 4): 1 / 3}, -1.0))
 @example(model=FOUR_NEAR_TIES)
+@example(model=CHAINED_NEAR_TIES)
+@example(model=CHAINED_ROWS)
 def test_brute_force_ignores_block_size(block, model):
     # Blocks of 1, 8 and 64 energies split runs of optima and ties across
     # block boundaries, and "row" gives each high row (1 << a energies) its
@@ -248,7 +263,7 @@ def test_brute_force_ignores_block_size(block, model):
         assert brute_force(model) == expected
     assignments, energies = reference_enumeration(model)
     best_e, best = expected
-    assert best_e == energy(model, best[0])
+    assert best_e == min(energies)
     assert best == [a for a, e in zip(assignments, energies)
                     if abs(e - best_e) <= 1e-12]
 
@@ -257,18 +272,16 @@ def test_brute_force_ignores_block_size(block, model):
 @given(model=quadratic_models(st.floats(-1.0, 1.0), max_n=10))
 @example(model=IsingModel(10, (0.0,) * 10))
 @example(model=BinaryModel(3, (-0.1, -0.2, -0.3), {(0, 2): 1.0, (1, 2): 1.0}))
+@example(model=CHAINED_NEAR_TIES)
 def test_tie_filter_equals_energy_list_filter(model):
     # The array filter must keep exactly the rows a per-assignment ``energy``
-    # filter keeps. Rows start at an optimum, as brute force's candidates do;
-    # (1, 1, 0) and (0, 0, 1) above tie to within 6e-17.
+    # filter keeps; (1, 1, 0) and (0, 0, 1) above tie to within 6e-17.
     rows, energies = reference_enumeration(model)
-    start = int(np.argmin(energies))
-    rows, energies = rows[start:] + rows[:start], energies[start:] + energies[:start]
     values, prepared = np.array(rows), solvers.prepare(model)
     assert solvers._energies(prepared, values).tolist() == energies
-    first = energies[0]
+    best = min(energies)
     assert solvers._ties(prepared, values) == (
-        first, [a for a in rows if abs(energy(model, a) - first) <= 1e-12])
+        best, [a for a in rows if abs(energy(model, a) - best) <= 1e-12])
 
 
 @pytest.mark.parametrize("solve", [
