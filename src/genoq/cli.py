@@ -250,13 +250,6 @@ def cmd_grover_search(args) -> int:
     key = _parse_key(args.key)
     db = build_window_db(genome, len(key))
     problem = grover.make_problem(db, key)
-    layout = problem.layout
-    if layout.total > args.max_qubits:
-        raise CapacityError(
-            f"search needs {layout.total} qubits "
-            f"(index {layout.index_qubits} + data {layout.data_qubits} + "
-            f"flag {layout.flag_qubits}), ceiling is {args.max_qubits}"
-        )
     scan = grover.classical_scan(db, key)
     iterations = args.iterations
     if iterations is None:
@@ -479,7 +472,6 @@ def build_parser(config: dict | None = None) -> _Parser:
     p.add_argument("--iterations", type=int,
                    help="Grover iterations (default: optimal for scan count)")
     p.add_argument("--shots", type=int, default=1024)
-    p.add_argument("--max-qubits", type=int, default=26)
 
     p = command("loading-scan", cmd_loading_scan,
                 "gate-count scaling sweep over genome sizes")
@@ -564,8 +556,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CapacityError as exc:
-        sys.stderr.write(f"genoq: capacity error: {exc}\n")
+    except (CapacityError, MemoryError) as exc:
+        sys.stderr.write(f"genoq: capacity error: {str(exc) or 'out of memory'}\n")
         return EXIT_CAPACITY
     except (ParseError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"genoq: parse error: {exc}\n")

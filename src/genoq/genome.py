@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SequenceParseError
+from .errors import CapacityError, SequenceParseError
 
 BASE_BITS = {"A": "00", "T": "01", "G": "10", "C": "11"}
 _NOT_A_BASE = re.compile("[^ACGTacgt]")
@@ -85,10 +85,10 @@ class ReadWindowDatabase:
 
     def codes(self) -> np.ndarray:
         """Each window's ``encode_window`` bits as an int64, by a rolling shift
-        over the base codes; ValueError past 31 bases (62 bits)."""
+        over the base codes; CapacityError past 31 bases (62 bits)."""
         m = self.window_length
         if m > 31:
-            raise ValueError(f"window length {m} > 31 bases has no int64 code")
+            raise CapacityError(f"window length {m} > 31 bases has no int64 code")
         base = self.base_codes()
         codes = np.zeros(self.count, dtype=np.int64)
         for k in range(m):

@@ -28,6 +28,7 @@ from .genome import (
     build_window_db,
     encode_window,
     layout_for,
+    next_power_of_two,
 )
 from .sim import Circuit, Gate, StateVector, bitstring
 
@@ -40,11 +41,22 @@ class SearchProblem:
     key_code: int  # the key's bits as one number, as windows are coded
 
 
+def _check_slots(windows: int) -> None:
+    """CapacityError when ``windows`` windows pad to more slots than
+    ``sim.MAX_SLOTS``: a closed-form search holds arrays of one entry per
+    slot, however many qubits its register would need."""
+    slots = next_power_of_two(windows)
+    if slots > sim.MAX_SLOTS:
+        raise CapacityError(f"{windows} windows pad to {slots} slots, "
+                            f"over the slot cap {sim.MAX_SLOTS}")
+
+
 def make_problem(db: ReadWindowDatabase, key: str) -> SearchProblem:
     if len(key) != db.window_length:
         raise ShapeError(
             f"key length {len(key)} != window length {db.window_length}"
         )
+    _check_slots(db.count)
     layout = layout_for(len(db.genome), db.window_length)
     return SearchProblem(db, key, layout, int(encode_window(key), 2))
 
@@ -79,17 +91,13 @@ def _data_flip_gates(layout: RegisterLayout, slot: int, code: int,
     return gates
 
 
-def _check_capacity(layout: RegisterLayout) -> None:
+def build_state_prep(db: ReadWindowDatabase) -> Circuit:
+    """H layer on the index register, then one MCX per set data bit per slot."""
+    layout = layout_for(len(db.genome), db.window_length)
     if layout.total > sim.MAX_QUBITS:
         raise CapacityError(
             f"register needs {layout.total} qubits, ceiling is {sim.MAX_QUBITS}"
         )
-
-
-def build_state_prep(db: ReadWindowDatabase) -> Circuit:
-    """H layer on the index register, then one MCX per set data bit per slot."""
-    layout = layout_for(len(db.genome), db.window_length)
-    _check_capacity(layout)
     codes = db.codes().tolist()
     gates = [Gate("H", layout.index_qubit(j)) for j in range(layout.index_qubits)]
     for slot in range(db.padded_size):
@@ -221,7 +229,6 @@ def run_search(problem: SearchProblem, iterations: int, shots: int,
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     layout = problem.layout
-    _check_capacity(layout)
     codes, marked, amps = slot_amplitudes(problem, iterations)
     p = amps ** 2
     counts = sim.draw_counts(p, seed, shots)
@@ -321,6 +328,9 @@ def loading_cost_scan(sizes: list[int], window_length: int,
     """
     if len(set(sizes)) < 2:
         raise ValueError("loading scan needs at least two distinct sizes")
+    for n in sizes:  # before any genome is drawn
+        if 1 <= window_length <= n:
+            _check_slots(n - window_length + 1)
     rng = np.random.default_rng(seed)
     rows = []
     for n in sorted(sizes):

@@ -18,6 +18,11 @@ import numpy as np
 from .errors import CapacityError, NormalizationError, ShapeError
 
 MAX_QUBITS = 26  # dense double-precision statevector ~ 1 GB at this size
+# Most slots a closed-form Grover search holds, and most shots drawn at once.
+# Measured at 2^22 (numpy 2.4, x86-64), a search peaks near 40 B per slot and
+# a draw whose outcomes repeat near 40 B per shot: ~640 MiB at the cap,
+# inside the 1 GiB that MAX_QUBITS budgets.
+MAX_SLOTS = 1 << 24
 NORM_TOL = 1e-10
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -180,10 +185,13 @@ def draw_counts(p: np.ndarray, seed: int, shots: int) -> list[tuple[int, int]]:
 
     Outcomes of weight zero are never drawn and do not move the others, so
     dropping them from ``p`` renumbers the outcomes but, up to rounding in
-    the normalisation, draws the same ones.
+    the normalisation, draws the same ones. CapacityError, before drawing,
+    past ``MAX_SLOTS`` shots.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if shots > MAX_SLOTS:
+        raise CapacityError(f"{shots} shots exceeds the shot cap {MAX_SLOTS}")
     rng = np.random.default_rng(seed)
     outcomes = rng.choice(p.size, size=shots, p=p / p.sum())
     return sorted(Counter(outcomes.tolist()).items())

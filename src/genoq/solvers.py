@@ -353,10 +353,15 @@ def estimate_success_probability(model: Model | PreparedModel,
     charges each run its full sweep count. On an ``exact`` model a run's
     best-so-far energy (its start's included) is its best state's
     ``energy``, so it decides success without calling ``energy``.
+    CapacityError, before any draw, when the runs' (runs, n) arrays would
+    hold more than ``MODEL_MAX_VARS`` entries.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     prepared = model if isinstance(model, PreparedModel) else prepare(model)
+    if runs * prepared.model.n > MODEL_MAX_VARS:
+        raise CapacityError(f"{runs} runs of {prepared.model.n} variables "
+                            f"exceed the model-size cap {MODEL_MAX_VARS}")
     stop = threshold + 1e-9
     results = _anneal(prepared, schedule, np.random.default_rng(seed), runs,
                       stop)

@@ -10,12 +10,14 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genoq import cli, grover, qubo, solvers, tts
+from genoq import cli, grover, qubo, sim, solvers, tts
 from genoq.cli import main
+from genoq.genome import build_window_db
 
 
 def run_cli(argv, capsys):
@@ -181,28 +183,63 @@ def test_grover_search_bad_key_exits_three(tmp_path, capsys, key, message):
     assert err == f"genoq: parse error: {message}\n"
 
 
-def test_grover_search_capacity_exits_two(tmp_path, capsys):
+def test_grover_search_capacity_exits_two(tmp_path, capsys, monkeypatch):
+    # 245 windows of 12 bases pad to 256 slots (41 qubits): the search runs
+    # at a cap of 256 slots, and one slot below it exits 2 before any
+    # slot amplitude is written.
     genome = tmp_path / "g.txt"
     genome.write_text("ATGC" * 64 + "\n")
-    code, _, err = run_cli(
-        ["grover-search", "--genome", str(genome), "--key", "ATGCATGCATGC",
-         "--seed", "1"], capsys)
-    assert code == 2
-    assert "qubits" in err
-
-
-@pytest.mark.parametrize("max_qubits, ceiling", [("20", "20"), ("64", "26")])
-def test_grover_search_over_ceiling_exits_two(tmp_path, capsys, max_qubits, ceiling):
-    # 16 windows of 12 bases: 4 index + 24 data qubits.
-    genome = tmp_path / "g.txt"
-    genome.write_text("ATGC" * 6 + "ATG\n")
-    code, out, err = run_cli(
-        ["grover-search", "--genome", str(genome), "--key", "ATGCATGCATGC",
-         "--seed", "1", "--max-qubits", max_qubits], capsys)
+    argv = ["grover-search", "--genome", str(genome), "--key", "ATGCATGCATGC",
+            "--seed", "1", "--shots", "64"]
+    monkeypatch.setattr(sim, "MAX_SLOTS", 256)
+    assert run_cli(argv, capsys)[0] == 0
+    monkeypatch.setattr(sim, "MAX_SLOTS", 255)
+    monkeypatch.setattr(grover, "slot_amplitudes", None)
+    code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
-    assert "28 qubits" in err
-    assert err.endswith(f"ceiling is {ceiling}\n") and err.count("\n") == 1
+    assert err == ("genoq: capacity error: 245 windows pad to 256 slots, "
+                   "over the slot cap 255\n")
+
+
+@pytest.mark.parametrize("genome, key, max_slots, message", [
+    ("ATGC" * 6 + "ATG", "ATGCATGCATGC", 8,
+     "16 windows pad to 16 slots, over the slot cap 8"),
+    ("ATGC" * 50, "ATGC" * 8, sim.MAX_SLOTS,
+     "window length 32 > 31 bases has no int64 code"),
+], ids=["slots", "key-bases"])
+def test_grover_search_over_ceiling_exits_two(tmp_path, capsys, monkeypatch,
+                                              genome, key, max_slots, message):
+    path = tmp_path / "g.txt"
+    path.write_text(genome + "\n")
+    monkeypatch.setattr(sim, "MAX_SLOTS", max_slots)
+    code, out, err = run_cli(
+        ["grover-search", "--genome", str(path), "--key", key, "--seed", "1"],
+        capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"genoq: capacity error: {message}\n"
+
+
+def test_grover_search_read_length_key(tmp_path, capsys):
+    # 181 windows of 20 bases: 8 index + 40 data + 1 flag qubits, past the
+    # simulator's ceiling, yet the closed form holds only 256 slots.
+    rng = np.random.default_rng(5)
+    genome = "".join(rng.choice(list("ATGC"), 200))
+    key = genome[57:77]
+    path = tmp_path / "g.txt"
+    path.write_text(genome + "\n")
+    code, out, _ = run_cli(
+        ["grover-search", "--genome", str(path), "--key", key, "--seed", "3",
+         "--no-timestamp"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["agreement"] is True
+    assert payload["classical_scan"] == [57]
+    problem = grover.make_problem(build_window_db(genome, 20), key)
+    assert problem.layout.total == 49 > sim.MAX_QUBITS
+    _, marked, amps = grover.slot_amplitudes(problem, payload["iterations"])
+    assert payload["p_exact"] == float((amps ** 2)[marked].sum())
 
 
 def test_runtime_surface_numbers(capsys):
@@ -1115,8 +1152,10 @@ def test_config_defaults_do_not_leak_into_later_calls(tmp_path, capsys):
                  "capacity": 3})),
     (["tts-scan", "--sizes", "100000", "--t-grid", "1", "--runs", "1",
       "--seed", "1"], ""),
+    (["tts-scan", "--sizes", "8", "--t-grid", "1", "--runs", "100000000000",
+      "--seed", "1"], ""),
 ], ids=["model-file", "model-file-sa", "max-cut", "phasing", "mis", "knapsack",
-        "tts-scan"])
+        "tts-scan", "tts-scan-runs"])
 def test_model_over_size_cap_exits_two(tmp_path, capsys, argv, text):
     # Each is refused before anything the size of the model is allocated.
     path = tmp_path / "input"
@@ -1127,6 +1166,45 @@ def test_model_over_size_cap_exits_two(tmp_path, capsys, argv, text):
     assert out == ""
     assert err.startswith("genoq: capacity error: ") and err.count("\n") == 1
     assert str(qubo.MODEL_MAX_VARS) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["grover-search", "--genome", "{path}", "--key", "AT", "--shots",
+     str((1 << 24) + 1), "--seed", "1"],
+    ["grover-demo", "--shots", "1000000000000", "--seed", "1"],
+    ["loading-scan", "--sizes", f"64,{(1 << 24) + 2}", "--seed", "1"],
+], ids=["grover-search-shots", "grover-demo-shots", "loading-scan-sizes"])
+def test_over_slot_cap_exits_two(tmp_path, capsys, argv):
+    # 2^24 + 2 bases hold 2^24 + 1 windows of 2, past the 2^24-slot cap. Each
+    # is refused before its shots are drawn or any genome is.
+    path = tmp_path / "g.txt"
+    path.write_text("ATGCATGC\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli([a.format(path=path) for a in argv], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("genoq: capacity error: ") and err.count("\n") == 1
+    assert str(sim.MAX_SLOTS) in err
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(), "out of memory"),
+    (MemoryError("Unable to allocate 8.00 GiB"), "Unable to allocate 8.00 GiB"),
+], ids=["bare", "numpy"])
+def test_memory_error_exits_two(capsys, monkeypatch, exc, message):
+    def exhausted(*args):
+        raise exc
+
+    monkeypatch.setattr(grover, "loading_cost_scan", exhausted)
+    code, out, err = run_cli(["loading-scan", "--seed", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"genoq: capacity error: {message}\n"
 
 
 @pytest.mark.parametrize("n, code, message", [

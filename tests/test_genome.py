@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from genoq.errors import SequenceParseError
+from genoq.errors import CapacityError, SequenceParseError
 from genoq.genome import (
     BASE_BITS,
     build_window_db,
@@ -158,7 +158,7 @@ def test_window_count_and_round_trip(genome, data):
 def test_codes_stop_at_31_bases():
     genome = "C" * 40
     assert build_window_db(genome, 31).codes().tolist() == [2**62 - 1] * 10
-    with pytest.raises(ValueError, match="32"):
+    with pytest.raises(CapacityError, match="32"):
         build_window_db(genome, 32).codes()
 
 
