@@ -15,13 +15,7 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 
 from . import __version__, grover, qubo, runtime, solvers, tts
-from .errors import (
-    CapacityError,
-    InfeasibleBudgetError,
-    ParseError,
-    SequenceParseError,
-    ShapeError,
-)
+from .errors import CapacityError, ParseError, SequenceParseError
 from .genome import build_window_db, parse_sequence, upper_bases
 
 EXIT_OK = 0
@@ -215,8 +209,7 @@ def cmd_grover_demo(args) -> int:
     circuits = grover.prepare_circuits(problem)
     run = grover.run_search(problem, iterations=args.iterations,
                             shots=args.shots, seed=args.seed)
-    top = max(run.histogram, key=run.histogram.get)
-    index, _ = grover.decode_outcome(problem, top)
+    index = run.top_slot
     payload = {
         "circuit": {
             "state_prep": circuits.state_prep.dump().splitlines(),
@@ -226,7 +219,7 @@ def cmd_grover_demo(args) -> int:
         "iterations": run.iterations,
         "p_exact": run.p_exact,
         "histogram": run.histogram,
-        "top_outcome": top,
+        "top_outcome": max(run.histogram, key=run.histogram.get),
         "decoded": {"index": index, "base": db.window_string(index)
                     if index < db.count else None},
         "matches": run.matches,
@@ -332,26 +325,23 @@ def _build_encoding(args) -> qubo.Encoding:
         return qubo.mis_to_qubo(qubo.weighted_graph_from_json(text))
     if problem == "knapsack":
         return qubo.knapsack_to_qubo(qubo.knapsack_from_json(text))
-    if problem in ("assembly-path", "tsp-path"):
-        if text is not None:
-            inst = qubo.overlap_from_json(text)
-        else:
-            if args.n is None:
-                raise ValueError("assembly/tsp builds need --input or --n")
-            if args.n > qubo.ASSEMBLY_NODE_CAP:
-                raise CapacityError(f"{args.n} reads exceeds the "
-                                    f"{qubo.ASSEMBLY_NODE_CAP}-read cap")
-            _require_seed(args)
-            import numpy as np
+    # assembly-path or tsp-path
+    if text is not None:
+        return qubo.assembly_to_qubo(qubo.overlap_from_json(text))
+    if args.n is None:
+        raise ValueError("assembly/tsp builds need --input or --n")
+    if args.n > qubo.ASSEMBLY_NODE_CAP:
+        raise CapacityError(f"{args.n} reads exceeds the "
+                            f"{qubo.ASSEMBLY_NODE_CAP}-read cap")
+    _require_seed(args)
+    import numpy as np
 
-            rng = np.random.default_rng(args.seed)
-            overlaps = {
-                (u, v): float(rng.integers(1, 10))
-                for u in range(args.n) for v in range(args.n) if u != v
-            }
-            inst = qubo.OverlapInstance(args.n, overlaps)
-        return qubo.assembly_to_qubo(inst)
-    raise ValueError(f"unknown problem {problem!r}")
+    rng = np.random.default_rng(args.seed)
+    overlaps = {
+        (u, v): float(rng.integers(1, 10))
+        for u in range(args.n) for v in range(args.n) if u != v
+    }
+    return qubo.assembly_to_qubo(qubo.OverlapInstance(args.n, overlaps))
 
 
 def cmd_qubo_build(args) -> int:
@@ -562,7 +552,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"genoq: parse error: {exc}\n")
         return EXIT_CONFIG
-    except (InfeasibleBudgetError, ShapeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"genoq: error: {exc}\n")
         return EXIT_DOMAIN
 

@@ -30,7 +30,7 @@ from .genome import (
     layout_for,
     next_power_of_two,
 )
-from .sim import Circuit, Gate, StateVector, bitstring
+from .sim import Circuit, Gate, bitstring
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,7 @@ class GroverRun:
     p_exact: float
     histogram: dict[str, int]
     matched_indices: set[int]
+    top_slot: int  # the most-drawn slot, the lowest on a tie
     matches: list[dict] = field(default_factory=list)
 
 
@@ -176,12 +177,12 @@ def optimal_iterations(num_windows: int, num_solutions: int) -> int:
     return max(1, k)
 
 
-def success_probability(problem: SearchProblem, state: StateVector) -> float:
+def success_probability(problem: SearchProblem, state: np.ndarray) -> float:
     """Probability that measuring the full-register ``state`` finds the key:
     data and flag are the low qubits, so column ``key_code`` of the amplitudes
     in rows of 2^(data + flag) holds every state with data == key, flag unset."""
     layout = problem.layout
-    rows = state.amplitudes.reshape(-1, 1 << (layout.data_qubits + layout.flag_qubits))
+    rows = state.reshape(-1, 1 << (layout.data_qubits + layout.flag_qubits))
     return float((np.abs(rows[:, problem.key_code]) ** 2).sum())
 
 
@@ -208,15 +209,6 @@ def slot_amplitudes(problem: SearchProblem, iterations: int
     return codes, marked, amps
 
 
-def decode_outcome(problem: SearchProblem, bits: str) -> tuple[int, str]:
-    """Split a measured full-register bitstring into (index, data bits)."""
-    layout = problem.layout
-    qi = layout.index_qubits
-    index = int(bits[:qi], 2) if qi else 0
-    data = bits[qi + layout.flag_qubits:]
-    return index, data
-
-
 def run_search(problem: SearchProblem, iterations: int, shots: int,
                seed: int) -> GroverRun:
     """Take V|0> through ``iterations`` Grover iterations, then sample.
@@ -231,25 +223,21 @@ def run_search(problem: SearchProblem, iterations: int, shots: int,
     layout = problem.layout
     codes, marked, amps = slot_amplitudes(problem, iterations)
     p = amps ** 2
-    counts = sim.draw_counts(p, seed, shots)
+    slots, counts = sim.draw_counts(p, seed, shots)
     low = layout.data_qubits + layout.flag_qubits
     pad = int(codes[0]) | 1 << layout.flag_qubit if problem.db.has_padding else 0
-    histogram = {
-        bitstring(j << low | (int(codes[j]) if j < codes.size else pad),
-                  layout.total): c
-        for j, c in counts
-    }
-    matched = {j for j, _ in counts} & set(marked.tolist())
-    matches = [
-        {"index": i, "window": problem.db.window_string(i)}
-        for i in sorted(matched)
-    ]
+    data = np.where(slots < codes.size, codes.take(slots, mode="clip"), pad)
+    histogram = {bitstring(j << low | d, layout.total): c
+                 for j, d, c in zip(slots.tolist(), data.tolist(), counts.tolist())}
+    matched = np.intersect1d(slots, marked, assume_unique=True).tolist()
     return GroverRun(
         iterations=iterations,
         p_exact=float(p[marked].sum()),
         histogram=histogram,
-        matched_indices=matched,
-        matches=matches,
+        matched_indices=set(matched),
+        top_slot=int(slots[np.argmax(counts)]),
+        matches=[{"index": i, "window": problem.db.window_string(i)}
+                 for i in matched],
     )
 
 
@@ -270,16 +258,15 @@ def search_unknown_count(problem: SearchProblem, seed: int,
                          shots: int = 64) -> GroverRun | None:
     """Doubling-iteration driver for an unknown number of matching windows.
 
-    Tries k = 1, 2, 4, ... and classically verifies each run's top sampled
-    outcome; returns the first run whose top outcome verifies, or None when
-    the doubling budget is exhausted (key absent).
+    Tries k = 1, 2, 4, ... and classically verifies each run's most-drawn
+    slot; returns the first run whose top slot verifies, or None when the
+    doubling budget is exhausted (key absent).
     """
     budget = 2 * math.ceil(math.sqrt(problem.db.padded_size)) + 1
     k = 1
     while k <= budget:
         run = run_search(problem, iterations=k, shots=shots, seed=seed + k)
-        top = max(run.histogram, key=run.histogram.get)
-        index, _ = decode_outcome(problem, top)
+        index = run.top_slot
         if index < problem.db.count and problem.db.window_string(index) == problem.key:
             return run
         k *= 2

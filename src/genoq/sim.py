@@ -1,8 +1,10 @@
 """Dense statevector simulator with natively applied multicontrolled gates.
 
-Circuits run gate by gate (``apply_gate``, ``run_circuit``); measurement is
-emulated by a seeded draw (``sample``), which ``draw_counts`` shares with
-Grover searches that write their slot amplitudes down in closed form.
+A state is a 1-D complex128 array of 2^n amplitudes; n is
+``size.bit_length() - 1``. Circuits run on it gate by gate, in place
+(``apply_gate``, ``run_circuit``); measurement is emulated by a seeded draw
+(``sample``), which ``draw_counts`` shares with Grover searches that write
+their slot amplitudes down in closed form.
 
 Qubit 0 is the rightmost bit of a printed bitstring (little-endian), so
 basis index ``i`` has qubit ``k`` equal to ``(i >> k) & 1``.
@@ -10,19 +12,24 @@ basis index ``i`` has qubit ``k`` equal to ``(i >> k) & 1``.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, NormalizationError, ShapeError
 
 MAX_QUBITS = 26  # dense double-precision statevector ~ 1 GB at this size
-# Most slots a closed-form Grover search holds, and most shots drawn at once.
-# Measured at 2^22 (numpy 2.4, x86-64), a search peaks near 40 B per slot and
-# a draw whose outcomes repeat near 40 B per shot: ~640 MiB at the cap,
-# inside the 1 GiB that MAX_QUBITS budgets.
+# Most slots a closed-form Grover search holds. Measured at 2^22 (numpy 2.4,
+# x86-64), a search peaks near 40 B per slot: ~640 MiB at the cap, inside the
+# 1 GiB that MAX_QUBITS budgets.
 MAX_SLOTS = 1 << 24
+# Most shots drawn at once. Measured with 2^20 shots over 2^22 slots (numpy
+# 2.4, x86-64; 927,826 distinct outcomes), a draw adds 16-18 B per shot to
+# the search's 40 B per slot; building the histogram takes ~250 B per
+# distinct outcome over the 24 B per slot still held; the histogram keeps
+# ~144 B per outcome, and writing its JSON ~290 B more. At the two caps that
+# is at most ~660 MiB while searching and ~430 MiB while writing.
+MAX_SHOTS = 1 << 20
 NORM_TOL = 1e-10
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -99,29 +106,26 @@ class Circuit:
         return "\n".join(lines)
 
 
-@dataclass
-class StateVector:
-    num_qubits: int
-    amplitudes: np.ndarray = field(repr=False)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.vdot(self.amplitudes, self.amplitudes).real))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
-
-
-def init_state(num_qubits: int) -> StateVector:
+def init_state(num_qubits: int) -> np.ndarray:
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise CapacityError(
             f"num_qubits must be in 1..{MAX_QUBITS}, got {num_qubits}"
         )
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[0] = 1.0
-    return StateVector(num_qubits, amps)
+    return amps
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+def _qubits(state: np.ndarray) -> int:
+    """n for a 1-D array of 2^n amplitudes; ShapeError for any other shape,
+    which may reshape to a copy, so that a gate would update the copy."""
+    n = state.size.bit_length() - 1
+    if state.shape != (1 << max(n, 0),):
+        raise ShapeError(f"a state is 2^n amplitudes on one axis, not {state.shape}")
+    return n
+
+
+def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     """Apply ``gate`` in place on strided views of the amplitudes.
 
     Axis k of the view is qubit n-1-k; a trailing axis of length 1 keeps a
@@ -129,19 +133,16 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     axis and the target's 0-half and 1-half are views, updated in place, so a
     gate needs the statevector plus at most one half-size temporary.
     """
-    n = state.num_qubits
+    n = _qubits(state)
     if gate.max_qubit() >= n:
         raise IndexError(
             f"gate touches qubit {gate.max_qubit()} on a {n}-qubit state"
         )
-    amps = state.amplitudes
-    if amps.shape != (1 << n,):  # any other shape may reshape to a copy
-        raise ShapeError(f"a {n}-qubit state has {1 << n} amplitudes, not {amps.shape}")
     index = [slice(None)] * (n + 1)
     for q, b in gate.controls:
         index[n - 1 - q] = b
     k = n - 1 - gate.target
-    view = amps.reshape((2,) * n + (1,))
+    view = state.reshape((2,) * n + (1,))
     a0, a1 = (view[(*index[:k], bit, *index[k + 1:])] for bit in (0, 1))
     if gate.kind == "X":
         t = a0.copy()
@@ -158,7 +159,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         a0 *= _INV_SQRT2
         np.subtract(t, a1, out=a1)
         a1 *= _INV_SQRT2
-    check_norm(amps, f"after {gate.label} on qubit {gate.target}")
+    check_norm(state, f"after {gate.label} on qubit {gate.target}")
     return state
 
 
@@ -169,36 +170,37 @@ def check_norm(amplitudes: np.ndarray, where: str) -> None:
         raise NormalizationError(f"norm drifted to {nrm!r} {where}")
 
 
-def run_circuit(circuit: Circuit, state: StateVector) -> StateVector:
-    if circuit.num_qubits != state.num_qubits:
-        raise ShapeError(
-            f"circuit has {circuit.num_qubits} qubits, state has {state.num_qubits}"
-        )
+def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
+    n = _qubits(state)
+    if circuit.num_qubits != n:
+        raise ShapeError(f"circuit has {circuit.num_qubits} qubits, state has {n}")
     for g in circuit.gates:
         apply_gate(state, g)
     return state
 
 
-def draw_counts(p: np.ndarray, seed: int, shots: int) -> list[tuple[int, int]]:
-    """``shots`` seeded draws of outcome ``i`` with weight ``p[i]``, as sorted
-    (outcome, count) pairs.
+def draw_counts(p: np.ndarray, seed: int,
+                shots: int) -> tuple[np.ndarray, np.ndarray]:
+    """``shots`` seeded draws of outcome ``i`` with weight ``p[i]``: the drawn
+    outcomes, ascending, and how often each was drawn.
 
     Outcomes of weight zero are never drawn and do not move the others, so
     dropping them from ``p`` renumbers the outcomes but, up to rounding in
     the normalisation, draws the same ones. CapacityError, before drawing,
-    past ``MAX_SLOTS`` shots.
+    past ``MAX_SHOTS`` shots.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if shots > MAX_SLOTS:
-        raise CapacityError(f"{shots} shots exceeds the shot cap {MAX_SLOTS}")
+    if shots > MAX_SHOTS:
+        raise CapacityError(f"{shots} shots exceeds the shot cap {MAX_SHOTS}")
     rng = np.random.default_rng(seed)
-    outcomes = rng.choice(p.size, size=shots, p=p / p.sum())
-    return sorted(Counter(outcomes.tolist()).items())
+    return np.unique(rng.choice(p.size, size=shots, p=p / p.sum()),
+                     return_counts=True)
 
 
-def sample(state: StateVector, seed: int, shots: int) -> dict[str, int]:
+def sample(state: np.ndarray, seed: int, shots: int) -> dict[str, int]:
     """Seeded measurement emulation; counts sum to ``shots``."""
-    p = np.abs(state.amplitudes) ** 2
-    n = state.num_qubits
-    return {bitstring(i, n): c for i, c in draw_counts(p, seed, shots)}
+    n = _qubits(state)
+    outcomes, counts = draw_counts(np.abs(state) ** 2, seed, shots)
+    return {bitstring(i, n): c
+            for i, c in zip(outcomes.tolist(), counts.tolist())}

@@ -263,7 +263,8 @@ def _anneal(prepared: PreparedModel, schedule: AnnealSchedule,
     assignment, the best-so-far energy per sweep run, and whether the run
     stopped early: given a ``stop``, it does at the first new best at or
     below ``stop`` (by ``energy``, unless the model is ``exact``), as no
-    later draw can undo that hit."""
+    later draw can undo that hit. A start state that meets the same rule
+    is a hit before the first sweep, with an empty trace."""
     model, exact = prepared.model, prepared.exact
     rises, falls = prepared.rises, prepared.falls
     n = model.n
@@ -285,11 +286,17 @@ def _anneal(prepared: PreparedModel, schedule: AnnealSchedule,
         return ([-d // 2 for d in steps] if spin
                 else [(1 - d) // 2 for d in steps])
 
+    def meets_stop(e: float, state: list[int]) -> bool:
+        return (stop is not None and e <= stop
+                and (exact or energy(model, values(state)) <= stop))
+
     steps = (-2 * start_vals if spin else 1 - 2 * start_vals).tolist()
     fields, energies = start_fields.tolist(), start_e.tolist()
-    results = [(d[:], [], False) for d in steps]
-    live = list(range(runs))
+    results = [(d[:], [], meets_stop(e, d)) for d, e in zip(steps, energies)]
+    live = [r for r in range(runs) if not results[r][2]]
     for s in range(0, schedule.sweeps, sweeps_per_draw):
+        if not live:
+            break
         betas = schedule.betas(s, min(s + sweeps_per_draw, schedule.sweeps))
         k = len(betas)
         block_targets = rng.integers(0, n, size=(runs, k, n))
@@ -312,9 +319,7 @@ def _anneal(prepared: PreparedModel, schedule: AnnealSchedule,
                             f[j] += df
                         if e < best_e:
                             best_e, best = e, d[:]
-                            if (stop is not None and e <= stop
-                                    and (exact or energy(model, values(best))
-                                         <= stop)):
+                            if meets_stop(e, best):
                                 hit = True
                                 break
                 trace.append(best_e)
@@ -323,8 +328,6 @@ def _anneal(prepared: PreparedModel, schedule: AnnealSchedule,
             energies[r] = e
             results[r] = (best, trace, hit)
         live = [r for r in live if not results[r][2]]
-        if not live:
-            break
     return [(values(best), trace, hit) for best, trace, hit in results]
 
 
@@ -350,9 +353,9 @@ def estimate_success_probability(model: Model | PreparedModel,
 
     A run stops at its first confirmed hit, since the rest of its schedule
     cannot undo it, and no other run's draws move when it does; TTS still
-    charges each run its full sweep count. On an ``exact`` model a run's
-    best-so-far energy (its start's included) is its best state's
-    ``energy``, so it decides success without calling ``energy``.
+    charges each run its full sweep count. On an ``exact`` model the
+    running energy is ``energy``, so a run succeeds iff it hit, its start
+    state included, without calling ``energy``.
     CapacityError, before any draw, when the runs' (runs, n) arrays would
     hold more than ``MODEL_MAX_VARS`` entries.
     """
@@ -366,7 +369,7 @@ def estimate_success_probability(model: Model | PreparedModel,
     results = _anneal(prepared, schedule, np.random.default_rng(seed), runs,
                       stop)
     if prepared.exact:
-        successes = sum(hit or trace[-1] <= stop for _, trace, hit in results)
+        successes = sum(hit for _, _, hit in results)
     else:
         successes = sum(hit or energy(prepared.model, best) <= stop
                         for best, _, hit in results)

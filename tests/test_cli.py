@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -644,9 +645,12 @@ def test_qubo_solve_sa_bad_beta_exits_one(tmp_path, capsys, flags):
      "expected an integer, got 2.5"),
     ("assembly-path", '{"n": 3, "overlaps": [[0, 1, 4.0], [0, 1, 9.0], [1, 2, 1.0]]}',
      "repeated overlap 0 1"),
+    # json.loads reads NaN, so the graph's own finiteness check refuses it.
+    ("max-cut", '{"n": 3, "edges": [[0, 1, NaN]]}', "edge weights must be finite"),
+    ("tsp-path", '{"n": 2, "overlaps": [[0, 5, 1.0]]}', "overlap (0, 5) out of range"),
 ], ids=["no-n", "not-object", "bad-json", "edges-not-list", "short-edge",
         "edge-out-of-range", "no-weights", "overlaps-no-n", "fractional-index",
-        "fractional-value", "repeated-overlap"])
+        "fractional-value", "repeated-overlap", "nan-weight", "overlap-out-of-range"])
 def test_qubo_build_malformed_instance_exits_three(tmp_path, capsys, problem,
                                                    text, message):
     inst = tmp_path / "i.json"
@@ -1168,15 +1172,17 @@ def test_model_over_size_cap_exits_two(tmp_path, capsys, argv, text):
     assert str(qubo.MODEL_MAX_VARS) in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["grover-search", "--genome", "{path}", "--key", "AT", "--shots",
-     str((1 << 24) + 1), "--seed", "1"],
-    ["grover-demo", "--shots", "1000000000000", "--seed", "1"],
-    ["loading-scan", "--sizes", f"64,{(1 << 24) + 2}", "--seed", "1"],
+@pytest.mark.parametrize("argv, cap", [
+    (["grover-search", "--genome", "{path}", "--key", "AT", "--shots",
+      str(sim.MAX_SHOTS + 1), "--seed", "1"], sim.MAX_SHOTS),
+    (["grover-demo", "--shots", "1000000000000", "--seed", "1"], sim.MAX_SHOTS),
+    (["loading-scan", "--sizes", f"64,{(1 << 24) + 2}", "--seed", "1"],
+     sim.MAX_SLOTS),
 ], ids=["grover-search-shots", "grover-demo-shots", "loading-scan-sizes"])
-def test_over_slot_cap_exits_two(tmp_path, capsys, argv):
-    # 2^24 + 2 bases hold 2^24 + 1 windows of 2, past the 2^24-slot cap. Each
-    # is refused before its shots are drawn or any genome is.
+def test_over_slot_cap_exits_two(tmp_path, capsys, argv, cap):
+    # 2^24 + 2 bases hold 2^24 + 1 windows of 2, past the 2^24-slot cap, and
+    # one shot past the shot cap is too many. Each is refused before its
+    # shots are drawn or any genome is.
     path = tmp_path / "g.txt"
     path.write_text("ATGCATGC\n")
     tracemalloc.start()
@@ -1188,7 +1194,7 @@ def test_over_slot_cap_exits_two(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("genoq: capacity error: ") and err.count("\n") == 1
-    assert str(sim.MAX_SLOTS) in err
+    assert str(cap) in err
     assert peak < 4 << 20
 
 
@@ -1205,6 +1211,28 @@ def test_memory_error_exits_two(capsys, monkeypatch, exc, message):
     assert code == 2
     assert out == ""
     assert err == f"genoq: capacity error: {message}\n"
+
+
+def test_random_assembly_without_size_exits_one(capsys):
+    code, out, err = run_cli(["qubo-build", "--problem", "tsp-path", "--seed", "1"],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "genoq: error: assembly/tsp builds need --input or --n\n"
+
+
+def test_tts_scan_runs_that_start_at_the_ground_stop_at_once(capsys):
+    # At density 0 every state is a ground state, so every run stops before
+    # its first sweep; annealing t = 1e9 sweeps per run would take hours.
+    started = time.perf_counter()
+    code, out, err = run_cli(
+        ["tts-scan", "--sizes", "8", "--density", "0", "--t-grid", "1,1000000000",
+         "--runs", "4", "--seed", "5", "--no-timestamp"], capsys)
+    elapsed = time.perf_counter() - started
+    assert code == 0
+    assert err == ""
+    assert "8,1,1,1,1\n8,1000000000,1,1,1000000000\n" in out
+    assert elapsed < 10
 
 
 @pytest.mark.parametrize("n, code, message", [

@@ -168,6 +168,11 @@ def test_layout_human_genome_scale():
     assert layout.data_qubits == 200
 
 
+def test_layout_window_longer_than_genome_raises():
+    with pytest.raises(ValueError, match="window length exceeds genome length"):
+        layout_for(3, 5)
+
+
 def test_layout_toy():
     layout = layout_for(4, 1)
     assert (layout.index_qubits, layout.data_qubits) == (2, 2)

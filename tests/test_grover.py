@@ -41,7 +41,7 @@ def test_state_prep_entangles_index_and_data():
     expected = np.zeros(16)
     for slot, code in enumerate(db.codes().tolist()):
         expected[basis_index(layout, slot, code)] = 0.5
-    assert np.allclose(state.amplitudes, expected, atol=1e-10)
+    assert np.allclose(state, expected, atol=1e-10)
 
 
 def test_state_prep_toy_gate_structure():
@@ -65,7 +65,7 @@ def test_state_prep_padding_flag():
     layout = db_layout(db)
     assert layout.flag_qubits == 1
     state = prepared_state(db)
-    probs = np.abs(state.amplitudes) ** 2
+    probs = np.abs(state) ** 2
     for slot in range(8):
         padding = slot >= 5
         code = db.codes()[0 if padding else slot]
@@ -90,13 +90,13 @@ def test_oracle_marks_only_key():
     problem = toy_problem()
     db = problem.db
     state = prepared_state(db)
-    before = state.amplitudes.copy()
+    before = state.copy()
     run_circuit(grover.build_oracle(problem), state)
     layout = problem.layout
     flipped = {basis_index(layout, 1, 0)}
     for i in range(16):
         sign = -1 if i in flipped else 1
-        assert np.isclose(state.amplitudes[i], sign * before[i])
+        assert np.isclose(state[i], sign * before[i])
 
 
 def test_oracle_involution():
@@ -105,20 +105,20 @@ def test_oracle_involution():
     amps = rng.normal(size=16) + 1j * rng.normal(size=16)
     amps /= np.linalg.norm(amps)
     state = init_state(4)
-    state.amplitudes[:] = amps
+    state[:] = amps
     oracle = grover.build_oracle(problem)
     run_circuit(oracle, state)
     run_circuit(oracle, state)
-    assert np.allclose(state.amplitudes, amps, atol=1e-12)
+    assert np.allclose(state, amps, atol=1e-12)
 
 
 def test_oracle_key_absent_is_identity_on_prepared_state():
     db = build_window_db("TTTG", 1)
     problem = grover.make_problem(db, "C")
     state = prepared_state(db)
-    before = state.amplitudes.copy()
+    before = state.copy()
     run_circuit(grover.build_oracle(problem), state)
-    assert np.allclose(state.amplitudes, before, atol=1e-12)
+    assert np.allclose(state, before, atol=1e-12)
 
 
 def test_oracle_key_shape_error():
@@ -131,12 +131,12 @@ def test_diffusion_fixes_prepared_state():
     db = build_window_db("TATG", 1)
     v = grover.build_state_prep(db)
     state = prepared_state(db)
-    before = state.amplitudes.copy()
+    before = state.copy()
     run_circuit(grover.build_diffusion(v), state)
-    phase = state.amplitudes[np.argmax(np.abs(before))] / before[
+    phase = state[np.argmax(np.abs(before))] / before[
         np.argmax(np.abs(before))]
     assert np.isclose(abs(phase), 1.0)
-    assert np.allclose(state.amplitudes, phase * before, atol=1e-10)
+    assert np.allclose(state, phase * before, atol=1e-10)
 
 
 def test_diffusion_involutive_up_to_global_phase():
@@ -144,10 +144,10 @@ def test_diffusion_involutive_up_to_global_phase():
     diffusion = grover.build_diffusion(grover.build_state_prep(db))
     state = prepared_state(db)
     run_circuit(grover.build_oracle(toy_problem()), state)  # reachable state
-    before = state.amplitudes.copy()
+    before = state.copy()
     run_circuit(diffusion, state)
     run_circuit(diffusion, state)
-    assert np.allclose(state.amplitudes, before, atol=1e-10)
+    assert np.allclose(state, before, atol=1e-10)
 
 
 def test_full_register_reflection_matches_index_reflection_on_reachable():
@@ -167,13 +167,13 @@ def test_full_register_reflection_matches_index_reflection_on_reachable():
     alpha = rng.normal(size=4) + 1j * rng.normal(size=4)
     alpha /= np.linalg.norm(alpha)
     state_a = init_state(layout.total)
-    state_a.amplitudes[:] = 0
+    state_a[:] = 0
     for slot, code in enumerate(db.codes().tolist()):
-        state_a.amplitudes[basis_index(layout, slot, code)] = alpha[slot]
+        state_a[basis_index(layout, slot, code)] = alpha[slot]
     state_b = state_a.copy()
     run_circuit(grover.build_diffusion(v), state_a)
     run_circuit(alt, state_b)
-    assert np.allclose(state_a.amplitudes, state_b.amplitudes, atol=1e-10)
+    assert np.allclose(state_a, state_b, atol=1e-10)
 
 
 def test_optimal_iterations():
@@ -192,6 +192,19 @@ def test_run_search_toy():
     assert run.matched_indices == {1}
     assert run.matches == [{"index": 1, "window": "A"}]
     assert max(run.histogram, key=run.histogram.get) == "0100"
+
+
+def decoded_top_slot(problem, histogram):
+    """The index bits of the first most-drawn bitstring, parsed back."""
+    top = max(histogram, key=histogram.get)
+    qi = problem.layout.index_qubits
+    return int(top[:qi], 2) if qi else 0
+
+
+def test_top_slot_is_the_lowest_of_tied_slots():
+    run = grover.run_search(toy_problem(), iterations=0, shots=4, seed=8)
+    assert run.histogram == {"0100": 2, "1110": 2}
+    assert run.top_slot == 1 == decoded_top_slot(toy_problem(), run.histogram)
 
 
 def test_run_search_zero_iterations_uniform():
@@ -214,9 +227,7 @@ def test_run_search_matches_classical_scan():
         problem = grover.make_problem(db, key)
         k = grover.optimal_iterations(db.padded_size, 1)
         run = grover.run_search(problem, iterations=k, shots=256, seed=int(rng.integers(1 << 30)))
-        top = max(run.histogram, key=run.histogram.get)
-        index, data = grover.decode_outcome(problem, top)
-        assert [index] == scan
+        assert [run.top_slot] == scan
 
 
 def test_success_probability_closed_form_small():
@@ -356,13 +367,25 @@ def test_slot_evolution_matches_gate_circuits(case, seed):
         _, marked, amps = grover.slot_amplitudes(problem, k)
         assert marked.tolist() == scan
         # Embedded in the full register, with zeros off the slot span.
-        embedded = np.zeros_like(gates.amplitudes)
+        embedded = np.zeros_like(gates)
         embedded[basis] = amps
-        assert np.max(np.abs(embedded - gates.amplitudes)) <= 1e-12
+        assert np.max(np.abs(embedded - gates)) <= 1e-12
         run = grover.run_search(problem, iterations=k, shots=64, seed=seed + k)
         assert run.histogram == sim.sample(gates, seed=seed + k, shots=64)
         assert run.p_exact == pytest.approx(
             grover.success_probability(problem, gates), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_problems(), st.integers(0, 4), st.integers(1, 64),
+       st.integers(0, 2**31))
+@example(("A", "A"), 1, 8, 1)  # single window, no index qubits
+@example(("TATGA", "C"), 0, 64, 2)  # padded: padding slots can be drawn
+def test_top_slot_equals_decoded_top_outcome(case, iterations, shots, seed):
+    genome, key = case
+    problem = grover.make_problem(build_window_db(genome, len(key)), key)
+    run = grover.run_search(problem, iterations, shots, seed)
+    assert run.top_slot == decoded_top_slot(problem, run.histogram)
 
 
 @settings(max_examples=60, deadline=None)

@@ -92,6 +92,8 @@ def test_energy_validation():
 
 
 def test_model_term_validation():
+    with pytest.raises(ValueError, match="at least one variable"):
+        IsingModel(0, ())
     with pytest.raises(ValueError):
         IsingModel(2, (0.0, 0.0), {(1, 0): 1.0})
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from genoq.sim import (
     GATE_KINDS,
     Circuit,
     Gate,
-    StateVector,
     apply_gate,
     bitstring,
     draw_counts,
@@ -47,13 +47,13 @@ def full_matrix(gate: Gate, n: int) -> np.ndarray:
     return kron_chain(acting) + np.eye(1 << n) - kron_chain(idle)
 
 
-def random_state(n: int, rng) -> StateVector:
+def random_state(n: int, rng) -> np.ndarray:
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
-    return StateVector(n, amps.astype(np.complex128))
+    return amps.astype(np.complex128)
 
 
-def uniform_state(n: int) -> StateVector:
+def uniform_state(n: int) -> np.ndarray:
     state = init_state(n)
     for q in range(n):
         apply_gate(state, Gate("H", q))
@@ -62,18 +62,18 @@ def uniform_state(n: int) -> StateVector:
 
 def test_init_single_qubit():
     state = init_state(1)
-    assert np.allclose(state.amplitudes, [1, 0])
+    assert np.allclose(state, [1, 0])
 
 
 def test_init_four_qubits_all_zeros():
     state = init_state(4)
-    assert state.amplitudes[0] == 1.0
-    assert np.count_nonzero(state.amplitudes) == 1
+    assert state[0] == 1.0
+    assert np.count_nonzero(state) == 1
 
 
 @pytest.mark.parametrize("k", range(1, 11))
 def test_init_norm_one(k):
-    assert init_state(k).norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(init_state(k)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_init_capacity_error():
@@ -85,26 +85,26 @@ def test_init_capacity_error():
 
 def test_h_on_zero():
     state = apply_gate(init_state(1), Gate("H", 0))
-    assert np.allclose(state.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)])
+    assert np.allclose(state, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def test_x_involution_on_random_state():
     rng = np.random.default_rng(11)
     state = random_state(3, rng)
-    before = state.amplitudes.copy()
+    before = state.copy()
     for _ in range(2):
         apply_gate(state, Gate("X", 1))
-    assert np.allclose(state.amplitudes, before, atol=1e-12)
+    assert np.allclose(state, before, atol=1e-12)
 
 
 def test_cz00_flips_only_all_zeros():
     # Z on q0 conditioned on q2=0, q1=0 sends |000> to -|000>.
     state = uniform_state(3)
-    before = state.amplitudes.copy()
+    before = state.copy()
     apply_gate(state, Gate("X", 0))
     apply_gate(state, Gate("Z", 0, ((2, 0), (1, 0))))
     apply_gate(state, Gate("X", 0))
-    after = state.amplitudes
+    after = state
     assert np.isclose(after[0], -before[0])
     assert np.allclose(after[1:], before[1:])
 
@@ -128,14 +128,18 @@ def test_gate_validation():
 def test_run_circuit_empty_is_identity():
     rng = np.random.default_rng(3)
     state = random_state(2, rng)
-    before = state.amplitudes.copy()
+    before = state.copy()
     run_circuit(Circuit(2), state)
-    assert np.array_equal(state.amplitudes, before)
+    assert np.array_equal(state, before)
 
 
 def test_run_circuit_shape_error():
     with pytest.raises(ShapeError):
         run_circuit(Circuit(3), init_state(2))
+    state = init_state(2)
+    with pytest.raises(ShapeError, match="circuit has 1 qubits, state has 2"):
+        run_circuit(Circuit(1, (Gate("H", 0),)), state)
+    assert state[0] == 1.0
 
 
 def test_parity_circuit_negates_odd_bitstrings():
@@ -143,21 +147,21 @@ def test_parity_circuit_negates_odd_bitstrings():
     ladder = [Gate("X", 1, ((2, 1),)), Gate("X", 0, ((1, 1),))]
     circuit = Circuit(3, tuple(ladder + [Gate("Z", 0)] + ladder[::-1]))
     state = uniform_state(3)
-    before = state.amplitudes.copy()
+    before = state.copy()
     run_circuit(circuit, state)
     for i in range(8):
         sign = -1 if bin(i).count("1") % 2 else 1
-        assert np.isclose(state.amplitudes[i], sign * before[i])
+        assert np.isclose(state[i], sign * before[i])
 
 
 def test_mark_all_zeros_circuit():
     xs = [Gate("X", q) for q in range(3)]
     circuit = Circuit(3, tuple(xs + [Gate("Z", 0, ((2, 1), (1, 1)))] + xs))
     state = uniform_state(3)
-    before = state.amplitudes.copy()
+    before = state.copy()
     run_circuit(circuit, state)
-    assert np.isclose(state.amplitudes[0], -before[0])
-    assert np.allclose(state.amplitudes[1:], before[1:])
+    assert np.isclose(state[0], -before[0])
+    assert np.allclose(state[1:], before[1:])
 
 
 def test_sample_deterministic_state():
@@ -189,8 +193,26 @@ def test_draw_counts_ignores_zero_weight_outcomes():
         p = rng.random(64) * (rng.random(64) < 0.3)
         p[int(rng.integers(64))] = 0.5
         kept = np.flatnonzero(p)
-        full = draw_counts(p, seed=seed, shots=200)
-        assert [(int(kept[i]), c) for i, c in draw_counts(p[kept], seed, 200)] == full
+        outcomes, counts = draw_counts(p, seed=seed, shots=200)
+        kept_outcomes, kept_counts = draw_counts(p[kept], seed, 200)
+        assert kept[kept_outcomes].tolist() == outcomes.tolist()
+        assert kept_counts.tolist() == counts.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0, allow_subnormal=False),
+                min_size=1, max_size=40).filter(any),
+       st.integers(0, 2**32 - 1), st.integers(1, 3000))
+@example([1.0], 0, 1)  # a single outcome, one shot
+@example([0.0, 0.0, 0.3, 0.0], 3, 100)  # a single outcome among zero weights
+@example([0.25] * 4 + [0.0] * 4, 7, 100_000)  # many shots
+def test_draw_counts_equals_counter_reference(weights, seed, shots):
+    # The Counter over every drawn outcome, as sorted (outcome, count) pairs.
+    p = np.array(weights)
+    draws = np.random.default_rng(seed).choice(p.size, size=shots, p=p / p.sum())
+    outcomes, counts = draw_counts(p, seed, shots)
+    assert (list(zip(outcomes.tolist(), counts.tolist()))
+            == sorted(Counter(draws.tolist()).items()))
 
 
 def test_dump_format():
@@ -206,17 +228,17 @@ def test_unitarity_all_kinds():
         for _ in range(200):
             state = random_state(4, rng)
             apply_gate(state, gate)
-            assert abs(state.norm() - 1.0) < 1e-10
+            assert abs(np.linalg.norm(state) - 1.0) < 1e-10
 
 
 def test_involutions():
     rng = np.random.default_rng(23)
     for kind in ("X", "Z", "H"):
         state = random_state(3, rng)
-        before = state.amplitudes.copy()
+        before = state.copy()
         apply_gate(state, Gate(kind, 2))
         apply_gate(state, Gate(kind, 2))
-        assert np.allclose(state.amplitudes, before, atol=1e-12)
+        assert np.allclose(state, before, atol=1e-12)
 
 
 def test_linearity():
@@ -224,14 +246,14 @@ def test_linearity():
     gate = Gate("H", 1, ((2, 1),))
     psi1, psi2 = random_state(3, rng), random_state(3, rng)
     a, b = 0.3 - 0.4j, 0.8 + 0.1j
-    combo = StateVector(3, a * psi1.amplitudes + b * psi2.amplitudes)
-    combo.amplitudes /= np.linalg.norm(combo.amplitudes)
-    scale = np.linalg.norm(a * psi1.amplitudes + b * psi2.amplitudes)
+    combo = a * psi1 + b * psi2
+    combo /= np.linalg.norm(combo)
+    scale = np.linalg.norm(a * psi1 + b * psi2)
     apply_gate(psi1, gate)
     apply_gate(psi2, gate)
     apply_gate(combo, gate)
-    expected = (a * psi1.amplitudes + b * psi2.amplitudes) / scale
-    assert np.allclose(combo.amplitudes, expected, atol=1e-12)
+    expected = (a * psi1 + b * psi2) / scale
+    assert np.allclose(combo, expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("gate", [
@@ -246,9 +268,9 @@ def test_matrix_oracle_equivalence(gate):
     rng = np.random.default_rng(47)
     for n in range(max(gate.max_qubit() + 1, 2), 5):
         state = random_state(n, rng)
-        expected = full_matrix(gate, n) @ state.amplitudes
+        expected = full_matrix(gate, n) @ state
         apply_gate(state, gate)
-        assert np.allclose(state.amplitudes, expected, atol=1e-12)
+        assert np.allclose(state, expected, atol=1e-12)
 
 
 def test_control_semantics_exact_identity_off_subspace():
@@ -257,16 +279,16 @@ def test_control_semantics_exact_identity_off_subspace():
         if (basis >> 2) & 1 == 1 and (basis >> 1) & 1 == 0:
             continue  # control string matches; gate acts
         state = init_state(3)
-        state.amplitudes[0] = 0
-        state.amplitudes[basis] = 1
-        before = state.amplitudes.copy()
+        state[0] = 0
+        state[basis] = 1
+        before = state.copy()
         apply_gate(state, gate)
-        assert np.array_equal(state.amplitudes, before)
+        assert np.array_equal(state, before)
 
 
 def test_norm_drift_detected():
     state = init_state(2)
-    state.amplitudes[0] = 2.0  # corrupt the norm deliberately
+    state[0] = 2.0  # corrupt the norm deliberately
     with pytest.raises(NormalizationError):
         apply_gate(state, Gate("X", 0))
 
@@ -325,15 +347,15 @@ def gates_on_states(draw):
         parts[0], normal[0] = 1.0, True
     # Only the normal parts are scaled; the others add nothing to the norm.
     parts[normal] /= np.linalg.norm(parts[normal])
-    return gate, StateVector(n, parts.view(np.complex128))
+    return gate, parts.view(np.complex128)
 
 
 # Every sign pattern of zero parts in a pair of amplitudes: (-0) - (+0) is
 # the one difference that keeps a negative zero.
-SIGNED_ZEROS = StateVector(3, np.array([
+SIGNED_ZEROS = np.array([
     complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
     complex(-0.0, 5e-324), complex(0.6, -0.0), complex(0.0, 0.8),
-    complex(0.0, 0.0), complex(0.0, -0.0)]))
+    complex(0.0, 0.0), complex(0.0, -0.0)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -345,26 +367,27 @@ SIGNED_ZEROS = StateVector(3, np.array([
 def test_views_equal_index_kernel_bit_for_bit(case):
     gate, state = case
     state = state.copy()
-    before = state.amplitudes.copy()
+    before = state.copy()
     want = before.copy()
-    index_kernel(want, state.num_qubits, gate)
+    n = state.size.bit_length() - 1
+    index_kernel(want, n, gate)
     apply_gate(state, gate)
-    np.testing.assert_array_equal(state.amplitudes.view(np.uint64),
+    np.testing.assert_array_equal(state.view(np.uint64),
                                   want.view(np.uint64))
-    expected = full_matrix(gate, state.num_qubits) @ before
-    assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
+    expected = full_matrix(gate, n) @ before
+    assert np.max(np.abs(state - expected)) <= 1e-12
 
 
 def test_gate_on_strided_amplitudes_writes_the_array_itself():
     rng = np.random.default_rng(5)
     dense = random_state(4, rng)
     backing = np.zeros(2 << 4, dtype=np.complex128)
-    backing[::2] = dense.amplitudes
-    strided = StateVector(4, backing[::2])
+    backing[::2] = dense
+    strided = backing[::2]
     for gate in (Gate("H", 1, ((3, 0),)), Gate("X", 0), Gate("Z", 2, ((0, 1),))):
         apply_gate(dense, gate)
         apply_gate(strided, gate)
-    assert np.array_equal(backing[::2], dense.amplitudes)
+    assert np.array_equal(backing[::2], dense)
     assert not backing[1::2].any()
 
 
@@ -373,7 +396,21 @@ def test_gate_on_amplitudes_of_another_shape_raises():
     grid = np.zeros((2, 2), dtype=np.complex128)
     grid[0, 0] = 1.0
     with pytest.raises(ShapeError):
-        apply_gate(StateVector(2, grid.T), Gate("X", 0))
+        apply_gate(grid.T, Gate("X", 0))
+
+
+@pytest.mark.parametrize("state", [
+    np.eye(2, dtype=np.complex128),  # 4 amplitudes, but on two axes
+    np.array([1, 0, 0], dtype=np.complex128),
+    np.zeros(0, dtype=np.complex128),
+], ids=["2-d", "length-3", "empty"])
+def test_states_of_other_shapes_raise(state):
+    before = state.copy()
+    with pytest.raises(ShapeError):
+        apply_gate(state, Gate("X", 0))
+    with pytest.raises(ShapeError):
+        run_circuit(Circuit(1, (Gate("X", 0),)), state)
+    assert np.array_equal(state, before)
 
 
 def test_gates_keep_no_memory_after_they_return():
@@ -403,4 +440,4 @@ def test_gate_peak_memory_at_most_the_statevector(kind, target):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= state.amplitudes.nbytes
+    assert peak <= state.nbytes

@@ -533,6 +533,31 @@ def test_run_trace_does_not_change_when_other_runs_stop():
             assert trace == full_trace
 
 
+@pytest.mark.parametrize("model", [
+    planted_ferromagnet(8, density=0.5, seed=3),
+    random_model(np.random.default_rng(8), 8),
+], ids=["exact", "real"])
+def test_run_that_starts_at_the_stop_stops_before_its_first_sweep(model):
+    # The stop is the lowest start energy: the run that starts there is a
+    # hit with an empty trace, where annealed it runs every sweep, and no
+    # other run's draws move.
+    schedule = AnnealSchedule(sweeps=20)
+    bits = np.random.default_rng(4).integers(0, 2, size=(6, model.n))
+    starts = (2 * bits - 1 if model.spin else bits).tolist()
+    energies = [energy(model, start) for start in starts]
+    first = int(np.argmin(energies))
+    stopped = solvers._anneal(solvers.prepare(model), schedule,
+                              np.random.default_rng(4), 6, energies[first] + 1e-9)
+    full = full_runs(model, schedule, 6, seed=4)
+    assert stopped[first] == (starts[first], [], True)
+    assert len(full[first][1]) == 20
+    assert sum(trace == [] for _, trace, _ in stopped) == 1
+    for (_, trace, hit), (_, full_trace, _) in zip(stopped, full):
+        # A hit ends its last sweep early, where the full run goes on.
+        kept = max(len(trace) - 1, 0) if hit else len(full_trace)
+        assert trace[:kept] == full_trace[:kept]
+
+
 @settings(max_examples=60, deadline=None)
 @given(model=quadratic_models(st.integers(-8, 8).map(lambda k: k / 2), max_n=8),
        shift=st.sampled_from([-0.5, 0.0, 0.5]), sweeps=st.integers(1, 20),
