@@ -1,7 +1,8 @@
 """Command-line entry point: reproducible, seeded experiments with CSV/JSON output.
 
 Exit codes: 0 success, 1 domain failure, 2 capacity, 3 parse/config error.
-Flags override values from a flat key=value config file (--config).
+Each key=value line of a --config file becomes the flag it names, placed
+right after the subcommand, so flags given on the command line override it.
 """
 
 from __future__ import annotations
@@ -28,18 +29,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
-    def parse_known_args(self, args=None, namespace=None):
-        """As argparse, but defaults (set from a config file) must be among
-        an option's ``choices`` too, as its flag values are."""
-        namespace, extras = super().parse_known_args(args, namespace)
-        for action in self._actions:
-            value = getattr(namespace, action.dest, None)
-            if (action.choices is not None and value is not None
-                    and value not in action.choices):
-                self.error(f"config value {action.dest}={value!r} is not one of "
-                           + ", ".join(map(repr, action.choices)))
-        return namespace, extras
-
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -65,14 +54,46 @@ _BOOLEANS = {"true": True, "1": True, "yes": True,
              "false": False, "0": False, "no": False}
 
 
-def _config_bool(key: str, text: str) -> bool:
-    """A config value for an on/off flag; anything but the _BOOLEANS words
-    (any case) is a ValueError."""
-    try:
-        return _BOOLEANS[text.lower()]
-    except KeyError:
-        raise ValueError(f"config value {key}={text!r} is not one of "
-                         + "/".join(_BOOLEANS)) from None
+def _with_config(argv: list[str],
+                 options: dict[str, dict[str, argparse.Action]]) -> list[str]:
+    """``argv`` with each line of its last ``--config`` file inserted right
+    after the subcommand as the flag it names: ``--key=value``, or the bare
+    on/off flag when its word (a _BOOLEANS key, any case) is true. Flags
+    given after the subcommand come later, so they win. A key that only
+    another subcommand takes is skipped. ValueError for ``--config`` without
+    a path, a key that no subcommand takes, or a word outside its flag's
+    choices."""
+    path, at = None, 0
+    while at < len(argv) and argv[at] not in options:
+        if argv[at] == "--config":
+            at += 1
+            if at == len(argv):
+                raise ValueError("--config needs a file path")
+            path = argv[at]
+        elif argv[at].startswith("--config="):
+            path = argv[at].split("=", 1)[1]
+        at += 1
+    if path is None:
+        return argv
+    takes = options[argv[at]] if at < len(argv) else {}
+    flags = []
+    for key, value in _load_config(path).items():
+        if not any(key in taken for taken in options.values()):
+            raise ValueError(f"{path}: no subcommand takes the key {key!r}")
+        if key not in takes:
+            continue
+        action = takes[key]
+        on_off = action.nargs == 0
+        word = value.lower() if on_off else value
+        words = _BOOLEANS if on_off else action.choices
+        if words is not None and word not in words:
+            raise ValueError(f"config value {key}={value!r} is not one of "
+                             + ", ".join(map(repr, words)))
+        if not on_off:
+            flags.append(f"{action.option_strings[0]}={value}")
+        elif _BOOLEANS[word]:
+            flags.append(action.option_strings[0])
+    return argv[:at + 1] + flags + argv[at + 1:]
 
 
 def _meta(args) -> dict:
@@ -438,8 +459,12 @@ def _add_common(p: _Parser) -> None:
                    help="suppress the timestamp metadata field")
 
 
-def build_parser(config: dict | None = None) -> _Parser:
-    parser = _Parser(prog="genoq",
+@functools.cache
+def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
+    """The parser, and for each subcommand the actions of its flags by
+    config key (the flag's dest). Built once per process, as parsing never
+    changes either."""
+    parser = _Parser(prog="genoq", allow_abbrev=False,
                      description="Quantum-search and QUBO workbench for genomics")
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -504,43 +529,17 @@ def build_parser(config: dict | None = None) -> _Parser:
     p.add_argument("--stub-tau", type=float,
                    help="use the closed-form stub p(t)=1-exp(-t/(tau*N))")
 
-    if config:
-        # Defaults stay strings, so argparse converts them with each option's
-        # type exactly as it converts the flag; on/off flags take no type, so
-        # their words are read here.
-        for action in sub.choices.values():
-            action.set_defaults(**{
-                a.dest: (_config_bool(a.dest, config[a.dest])
-                         if isinstance(a, argparse._StoreTrueAction)
-                         else config[a.dest])
-                for a in action._actions if a.dest in config})
-    return parser
-
-
-@functools.cache
-def _default_parser() -> _Parser:
-    """The parser without config defaults: built once, as parsing never
-    changes it."""
-    return build_parser()
-
-
-def _config_path(argv: list[str]) -> str | None:
-    """The value of ``--config PATH`` or ``--config=PATH``, if given."""
-    for i, arg in enumerate(argv):
-        if arg == "--config":
-            return argv[i + 1]
-        if arg.startswith("--config="):
-            return arg.split("=", 1)[1]
-    return None
+    options = {name: {a.dest: a for a in p._actions if a.dest != "help"}
+               for name, p in sub.choices.items()}
+    return parser, options
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser, options = build_parser()
     try:
-        path = _config_path(argv)
-        parser = (_default_parser() if path is None
-                  else build_parser(_load_config(path)))
-    except (IndexError, OSError, ValueError) as exc:
+        argv = _with_config(argv, options)
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"genoq: config error: {exc}\n")
         return EXIT_CONFIG
     args = parser.parse_args(argv)

@@ -254,8 +254,10 @@ def classical_scan(db: ReadWindowDatabase, key: str) -> list[int]:
     return hits
 
 
-def search_unknown_count(problem: SearchProblem, seed: int,
-                         shots: int = 64) -> GroverRun | None:
+UNKNOWN_COUNT_SHOTS = 64  # shots per run of search_unknown_count
+
+
+def search_unknown_count(problem: SearchProblem, seed: int) -> GroverRun | None:
     """Doubling-iteration driver for an unknown number of matching windows.
 
     Tries k = 1, 2, 4, ... and classically verifies each run's most-drawn
@@ -265,7 +267,7 @@ def search_unknown_count(problem: SearchProblem, seed: int,
     budget = 2 * math.ceil(math.sqrt(problem.db.padded_size)) + 1
     k = 1
     while k <= budget:
-        run = run_search(problem, iterations=k, shots=shots, seed=seed + k)
+        run = run_search(problem, iterations=k, shots=UNKNOWN_COUNT_SHOTS, seed=seed + k)
         index = run.top_slot
         if index < problem.db.count and problem.db.window_string(index) == problem.key:
             return run

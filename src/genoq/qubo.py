@@ -326,7 +326,11 @@ def is_independent_set(g: WeightedGraph, vertices: frozenset[int]) -> bool:
 
 def write_model(model: Model) -> str:
     """Bit-exact text format: header ``QUBO n offset convention``, then one
-    line per term ``i i h_i`` / ``i j J_ij`` (i < j, 17 significant digits)."""
+    line per term ``i i h_i`` / ``i j J_ij`` (i < j, 17 significant digits).
+    ValueError for a non-finite coefficient, which ``read_model`` refuses."""
+    if not all(map(math.isfinite, (model.offset, *model.h, *model.J.values()))):
+        raise ValueError("model has a non-finite coefficient; "
+                         "model files hold finite numbers only")
     convention = "spin" if model.spin else "binary"
     lines = [f"QUBO {model.n} {model.offset:.17g} {convention}"]
     for i, hi in enumerate(model.h):
@@ -405,10 +409,17 @@ def _int(value) -> int:
     return value
 
 
+def _weight(value) -> float:
+    """A JSON number as a float; a string or boolean is rejected, not read."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _edge_dict(pairs) -> dict[tuple[int, int], float]:
     out: dict[tuple[int, int], float] = {}
     for i, j, w in pairs:
-        _couple(out, _int(i), _int(j), float(w))
+        _couple(out, _int(i), _int(j), _weight(w))
     return out
 
 
@@ -451,7 +462,7 @@ def _overlap_dict(triples) -> dict[tuple[int, int], float]:
         key = (_int(u), _int(v))
         if key in out:
             raise ValueError(f"repeated overlap {key[0]} {key[1]}")
-        out[key] = float(w)
+        out[key] = _weight(w)
     return out
 
 

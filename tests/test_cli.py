@@ -648,9 +648,17 @@ def test_qubo_solve_sa_bad_beta_exits_one(tmp_path, capsys, flags):
     # json.loads reads NaN, so the graph's own finiteness check refuses it.
     ("max-cut", '{"n": 3, "edges": [[0, 1, NaN]]}', "edge weights must be finite"),
     ("tsp-path", '{"n": 2, "overlaps": [[0, 5, 1.0]]}', "overlap (0, 5) out of range"),
+    # Weights are JSON numbers: float() would read "2.5" as 2.5 and true as 1.0.
+    ("max-cut", '{"n": 3, "edges": [[0, 1, "2.5"]]}', "expected a number, got '2.5'"),
+    ("mis", '{"n": 3, "edges": [[0, 1, true]]}', "expected a number, got True"),
+    ("assembly-path", '{"n": 2, "overlaps": [[0, 1, "4"]]}',
+     "expected a number, got '4'"),
+    ("tsp-path", '{"n": 2, "overlaps": [[0, 1, false]]}',
+     "expected a number, got False"),
 ], ids=["no-n", "not-object", "bad-json", "edges-not-list", "short-edge",
         "edge-out-of-range", "no-weights", "overlaps-no-n", "fractional-index",
-        "fractional-value", "repeated-overlap", "nan-weight", "overlap-out-of-range"])
+        "fractional-value", "repeated-overlap", "nan-weight", "overlap-out-of-range",
+        "string-weight", "boolean-weight", "string-overlap", "boolean-overlap"])
 def test_qubo_build_malformed_instance_exits_three(tmp_path, capsys, problem,
                                                    text, message):
     inst = tmp_path / "i.json"
@@ -673,6 +681,25 @@ def test_qubo_build_knapsack_overflowing_capacity_exits_one(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("genoq: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("problem, instance", [
+    ("max-cut", {"n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]}),
+    ("assembly-path", {"n": 3, "overlaps": [[0, 1, 1e308], [1, 2, 1e308]]}),
+], ids=["max-cut", "assembly-path"])
+def test_qubo_build_non_finite_model_exits_one(tmp_path, capsys, problem,
+                                               instance):
+    # Finite weights whose encoding overflows: a model file cannot hold the
+    # result, so nothing is written.
+    inst, model = tmp_path / "i.json", tmp_path / "m.qubo"
+    inst.write_text(json.dumps(instance))
+    code, out, err = run_cli(["qubo-build", "--problem", problem, "--input",
+                              str(inst), "--out", str(model)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("genoq: error: model has a non-finite coefficient; "
+                   "model files hold finite numbers only\n")
+    assert not model.exists()
 
 
 def test_qubo_build_needs_input(capsys):
@@ -1141,6 +1168,68 @@ def test_config_defaults_do_not_leak_into_later_calls(tmp_path, capsys):
     assert sum(payload["histogram"].values()) == 256
 
 
+def test_config_unknown_key_exits_three(tmp_path, capsys):
+    # A misspelt key would otherwise be dropped and its default used.
+    cfg = tmp_path / "cfg"
+    cfg.write_text("shot=512\n")
+    code, out, err = run_cli(
+        ["--config", str(cfg), "grover-demo", "--seed", "1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == f"genoq: config error: {cfg}: no subcommand takes the key 'shot'\n"
+
+
+@pytest.mark.parametrize("form", ["--config {}", "--config={}"])
+def test_config_last_file_wins(tmp_path, capsys, form):
+    first, last = tmp_path / "first", tmp_path / "last"
+    first.write_text("shots=8\n")
+    last.write_text("shots=16\n")
+    code, out, _ = run_cli(
+        [*form.format(first).split(), *form.format(last).split(), "grover-demo",
+         "--seed", "1", "--no-timestamp"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["meta"]["parameters"]["shots"] == 16
+    assert sum(payload["histogram"].values()) == 16
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--config"], "genoq: config error: --config needs a file path\n"),
+    (["--config=", "grover-demo"], "genoq: config error: "),
+    # Abbreviations of --config are not read as it, so none slips past.
+    (["--conf", "cfg", "grover-demo"], "genoq: error: argument command: "),
+], ids=["no-path", "empty-path", "abbreviated"])
+def test_config_flag_without_a_file_exits_three(capsys, argv, message):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_config_supplies_required_flag_and_skips_other_commands(tmp_path,
+                                                               capsys):
+    # --N is required by runtime; shots belongs to the Grover commands only,
+    # so a file shared between subcommands still works. Comments and blank
+    # lines are skipped.
+    cfg = tmp_path / "cfg"
+    cfg.write_text("# shared settings\n\nN=3e9\nshots=4\n  \nno-timestamp=yes\n")
+    code, out, _ = run_cli(["--config", str(cfg), "runtime"], capsys)
+    assert code == 0
+    _, expected, _ = run_cli(["runtime", "--N", "3e9", "--no-timestamp"], capsys)
+    assert out == expected
+
+
+def test_module_entry_point_exits_with_main_code():
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "genoq.cli", "runtime", "--N", "0"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "genoq: error: --N must be >= 1, got 0\n"
+
+
 @pytest.mark.parametrize("argv, text", [
     (["qubo-solve", "--model", "{path}"], "QUBO 1000000000 0 spin\n"),
     (["qubo-solve", "--model", "{path}", "--solver", "sa", "--seed", "1"],
@@ -1196,6 +1285,26 @@ def test_over_slot_cap_exits_two(tmp_path, capsys, argv, cap):
     assert err.startswith("genoq: capacity error: ") and err.count("\n") == 1
     assert str(cap) in err
     assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("text", ["QUBO 20 0 binary\n", "QUBO 25 0 spin\n"],
+                         ids=["binary", "mirrored-spin"])
+def test_over_optimum_cap_exits_two(tmp_path, capsys, text):
+    # Every state is optimal. The candidates are dropped as they pass the
+    # cap, long before 2^20 or more assignments are listed.
+    path = tmp_path / "m.qubo"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["qubo-solve", "--model", str(path)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("genoq: capacity error: ") and err.count("\n") == 1
+    assert f"more than {solvers.BRUTE_FORCE_MAX_OPTIMA} optimal assignments" in err
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("exc, message", [

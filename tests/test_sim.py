@@ -112,6 +112,8 @@ def test_cz00_flips_only_all_zeros():
 def test_invalid_qubit_index():
     with pytest.raises(IndexError):
         apply_gate(init_state(2), Gate("X", 2))
+    with pytest.raises(IndexError, match="touches qubit 2 but circuit has 2 qubits"):
+        Circuit(2, (Gate("X", 0, ((2, 1),)),))
 
 
 def test_gate_validation():
@@ -123,6 +125,10 @@ def test_gate_validation():
         Gate("X", 0, ((1, 2),))
     with pytest.raises(ValueError):
         Gate("X", 0, ((-1, 1),))  # would select the trailing axis of the view
+    with pytest.raises(ValueError, match="target qubit index must be non-negative"):
+        Gate("X", -1)
+    with pytest.raises(ValueError, match="duplicate control qubit 1"):
+        Gate("X", 0, ((1, 1), (1, 0)))
 
 
 def test_run_circuit_empty_is_identity():

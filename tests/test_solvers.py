@@ -295,6 +295,27 @@ def test_brute_force_rejects_overflowing_energies(solve):
         solve(IsingModel(2, (1e308, 1e308), {(0, 1): 1e308}))
 
 
+@settings(max_examples=80, deadline=None)
+@given(model=quadratic_models(st.sampled_from([-1.0, 0.0, 0.0, 1.0]), max_n=10),
+       cap=st.integers(1, 16))
+@example(model=BinaryModel(6, (0.0,) * 6, {(4, 5): -1.0}), cap=16)
+@example(model=IsingModel(5, (0.0,) * 5), cap=16)
+def test_optimum_cap_refuses_exactly_the_models_over_it(model, cap):
+    # On integer weights the candidates are the optima, so brute force is
+    # refused iff they are more than the cap, wherever their blocks lie, and
+    # otherwise returns what it returns uncapped. Blocks of 4 energies let a
+    # lower block come after ties that passed the cap.
+    expected = brute_force(model)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "BRUTE_FORCE_MAX_OPTIMA", cap)
+        mp.setattr(solvers, "BLOCK_ENTRIES", 4)
+        if len(expected[1]) > cap:
+            with pytest.raises(CapacityError, match=f"more than {cap} optimal"):
+                brute_force(model)
+        else:
+            assert brute_force(model) == expected
+
+
 def test_brute_force_binary_model():
     model = BinaryModel(2, (1.0, -2.0), {(0, 1): 3.0})
     best_e, best = brute_force(model)

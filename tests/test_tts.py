@@ -97,6 +97,12 @@ def test_optimal_tts_tie_breaks_to_smaller_t():
     assert best.t == 1.0
 
 
+def test_optimal_tts_without_valid_points_raises():
+    curve = TTSCurve((TTSPoint(1.0, 0.0, None, None),), 0.9)
+    with pytest.raises(ValueError, match="no valid points"):
+        optimal_tts(curve)
+
+
 def test_boundary_flag():
     # Grid entirely on the rising side of the TTS curve.
     curve = tts_curve(stub_estimator(1.0), [50.0, 60.0, 70.0], 0.9)
