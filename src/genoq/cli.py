@@ -276,7 +276,7 @@ def cmd_grover_search(args) -> int:
         "histogram": run.histogram,
         "matches": run.matches,
         "classical_scan": scan,
-        "agreement": sorted(run.matched_indices) == scan,
+        "agreement": run.matched_indices == scan,
     }
     _emit_json(args, payload)
     return EXIT_OK
@@ -381,7 +381,7 @@ def cmd_qubo_solve(args) -> int:
         payload = {
             "solver": "brute",
             "best_energy": best_e,
-            "optimal_assignments": [list(a) for a in assignments],
+            "optimal_assignments": assignments,
         }
     else:
         _require_seed(args)
@@ -392,7 +392,7 @@ def cmd_qubo_solve(args) -> int:
         payload = {
             "solver": "sa",
             "best_energy": run.best_energy,
-            "best_assignment": list(run.best_assignment),
+            "best_assignment": run.best_assignment,
             "trace": run.trace,
             "sweeps": args.sweeps,
         }

@@ -73,7 +73,7 @@ class GroverRun:
     iterations: int
     p_exact: float
     histogram: dict[str, int]
-    matched_indices: set[int]
+    matched_indices: list[int]  # ascending
     top_slot: int  # the most-drawn slot, the lowest on a tie
     matches: list[dict] = field(default_factory=list)
 
@@ -234,7 +234,7 @@ def run_search(problem: SearchProblem, iterations: int, shots: int,
         iterations=iterations,
         p_exact=float(p[marked].sum()),
         histogram=histogram,
-        matched_indices=set(matched),
+        matched_indices=matched,
         top_slot=int(slots[np.argmax(counts)]),
         matches=[{"index": i, "window": problem.db.window_string(i)}
                  for i in matched],

@@ -161,9 +161,9 @@ def brute_force(model: Model) -> tuple[float, list[tuple[int, ...]]]:
     d = 4 * m * 2^-53 * scale; on an ``exact`` model every entry is exact in
     any order and d = 0. Candidates are the states within 1e-12 + 2d of the
     lowest matmul energy, which holds every state within 1e-12 of the
-    optimum by ``energy``; those kept against a running best that a later
-    block lowers are filtered again, so the set does not depend on the block
-    size. They come in ascending index order. The optimum is one rule, exact
+    optimum by ``energy``. A first pass over the blocks finds that lowest
+    energy; a second recomputes the blocks that reach the window and lists
+    their candidates in ascending index order. The optimum is one rule, exact
     and independent of the matmul's summation order: the reported energy is
     the minimum of ``energy`` over the candidates, and the optima are every
     candidate whose ``energy`` is within 1e-12 of it.
@@ -174,11 +174,7 @@ def brute_force(model: Model) -> tuple[float, list[tuple[int, ...]]]:
     in ascending order: every mirror lies above every enumerated index.
 
     CapacityError when the candidates, mirrors included, number more than
-    ``BRUTE_FORCE_MAX_OPTIMA``. No more are ever held: past the cap they are
-    dropped, and only the lowest energy dropped or skipped since is kept. A
-    later block whose lowest energy lies more than the window below it
-    starts the set afresh, as nothing dropped can then be a candidate; a set
-    still dropped at the end is refused.
+    ``BRUTE_FORCE_MAX_OPTIMA``, raised as the second pass passes the cap.
     """
     n = model.n
     if n > BRUTE_FORCE_MAX_VARS:
@@ -205,34 +201,25 @@ def brute_force(model: Model) -> tuple[float, list[tuple[int, ...]]]:
     left = np.column_stack([hi @ W[:a, a:].T, e_hi, np.ones(len(hi))])
     del hi
     rows = max(1, BLOCK_ENTRIES >> a)
-    best_e = math.inf
-    found: list[tuple[np.ndarray, np.ndarray]] = []  # (indices, energies)
-    kept, dropped = 0, math.inf
-    for start in range(0, len(left), rows):
-        e = (left[start:start + rows] @ right).ravel()
-        low = float(e.min())
-        if low < best_e:
-            best_e = low
-            found = [(i[v <= low + window], v[v <= low + window])
-                     for i, v in found]
-            kept = sum(len(i) for i, _ in found)
-            if low + window < dropped:
-                dropped = math.inf
-        if low > best_e + window:
-            continue
-        if dropped < math.inf:
-            dropped = min(dropped, low)
-            continue
-        keep = np.flatnonzero(e <= best_e + window)
-        kept += len(keep)
-        if kept << mirror > BRUTE_FORCE_MAX_OPTIMA:
-            found, dropped = [], best_e
-        else:
-            found.append(((start << a) + keep, e[keep]))
-    if dropped < math.inf:
-        raise CapacityError(f"more than {BRUTE_FORCE_MAX_OPTIMA} optimal "
-                            f"assignments, over the brute-force cap")
-    index = np.concatenate([i for i, _ in found])
+    starts = range(0, len(left), rows)
+
+    def block(start: int) -> np.ndarray:
+        # Both passes compute a block by this one slice and product, so they
+        # read the same energies: a one-ulp drift could drop the minimum.
+        return (left[start:start + rows] @ right).ravel()
+
+    lows = [float(block(start).min()) for start in starts]
+    limit = min(lows) + window
+    found, count = [], 0
+    for start, low in zip(starts, lows):
+        if low <= limit:
+            keep = np.flatnonzero(block(start) <= limit)
+            count += len(keep)
+            if count << mirror > BRUTE_FORCE_MAX_OPTIMA:
+                raise CapacityError(f"more than {BRUTE_FORCE_MAX_OPTIMA} optimal "
+                                    f"assignments, over the brute-force cap")
+            found.append((start << a) + keep)
+    index = np.concatenate(found)
     if mirror:
         index = np.concatenate([index, (1 << n) - 1 - index[::-1]])
     return _ties(prepared, _assignments(index, n, spin))

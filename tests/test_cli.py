@@ -1290,8 +1290,8 @@ def test_over_slot_cap_exits_two(tmp_path, capsys, argv, cap):
 @pytest.mark.parametrize("text", ["QUBO 20 0 binary\n", "QUBO 25 0 spin\n"],
                          ids=["binary", "mirrored-spin"])
 def test_over_optimum_cap_exits_two(tmp_path, capsys, text):
-    # Every state is optimal. The candidates are dropped as they pass the
-    # cap, long before 2^20 or more assignments are listed.
+    # Every state is optimal. Brute force is refused as its candidates pass
+    # the cap, long before 2^20 or more assignments are listed.
     path = tmp_path / "m.qubo"
     path.write_text(text)
     tracemalloc.start()

@@ -316,6 +316,45 @@ def test_optimum_cap_refuses_exactly_the_models_over_it(model, cap):
             assert brute_force(model) == expected
 
 
+# The optima are states 0 and 4, within 1e-12 of -5e-13 at state 4. States
+# 1 and 2 lie within 1e-12 of state 0, the lowest of the first block of 4
+# energies, so that block alone holds more candidates than a cap of 2.
+CAPPED_NEAR_TIES = BinaryModel(3, (0.9e-12, 0.95e-12, -0.5e-12),
+                               {(0, 2): 1.0, (1, 2): 1.0})
+
+
+def capped_outcome(model, cap, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "BRUTE_FORCE_MAX_OPTIMA", cap)
+        mp.setattr(solvers, "BLOCK_ENTRIES", block)
+        try:
+            return brute_force(model)
+        except CapacityError as exc:
+            return str(exc)
+
+
+def test_optimum_cap_counts_only_the_final_candidates():
+    for block in (4, solvers.BLOCK_ENTRIES):
+        assert capped_outcome(CAPPED_NEAR_TIES, 2, block) == (
+            -5e-13, [(0, 0, 0), (0, 0, 1)])
+
+
+@pytest.mark.parametrize("block", [1, 4, 8, "row"])
+@settings(max_examples=60, deadline=None)
+@given(model=quadratic_models(st.one_of(
+           st.integers(-20, 20).map(lambda k: k * 1e-13),
+           st.sampled_from([0.0, 1.0])), max_n=6),
+       cap=st.integers(1, 4))
+@example(model=CAPPED_NEAR_TIES, cap=2)
+def test_optimum_cap_ignores_block_size(block, model, cap):
+    # Near ties of real weights: whether the cap refuses a model, and what
+    # it returns when it does not, must not depend on where blocks split.
+    if block == "row":
+        block = 1 << (model.n + 1) // 2
+    assert capped_outcome(model, cap, block) == capped_outcome(
+        model, cap, solvers.BLOCK_ENTRIES)
+
+
 def test_brute_force_binary_model():
     model = BinaryModel(2, (1.0, -2.0), {(0, 1): 3.0})
     best_e, best = brute_force(model)
