@@ -11,6 +11,7 @@ two closed-form values, without iterating. The gate-level circuits of
 ``prepare_circuits`` are kept for circuit dumps and as the reference the
 closed form and the gate counts of ``circuit_lengths`` are tested against;
 the loading-cost scan counts from structure and builds no circuit.
+``search_unknown_count`` runs BBHT rounds on the same closed form.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class GroverRun:
     p_exact: float
     histogram: dict[str, int]
     matched_indices: list[int]  # ascending
-    top_slot: int  # the most-drawn slot, the lowest on a tie
+    top_slot: int  # the most-drawn slot, the lowest on a tie; grover-demo reads it
     matches: list[dict] = field(default_factory=list)
 
 
@@ -254,24 +255,33 @@ def classical_scan(db: ReadWindowDatabase, key: str) -> list[int]:
     return hits
 
 
-UNKNOWN_COUNT_SHOTS = 64  # shots per run of search_unknown_count
+# Rounds at the sqrt(P) bound before a key is reported absent. By BBHT Lemma 2
+# a round with k uniform below M succeeds with chance 1/2 - sin(4M theta) /
+# (4M sin 2theta), >= 1/4 once M >= 1/sin 2theta. For 1 <= m <= P-1,
+# sin^2 2theta = 4m(P - m)/P^2 >= 1/P as m(P - m) >= P - 1 >= P/4, so
+# M = ceil(sqrt(P)) qualifies; m = P always succeeds. A present key is thus
+# missed with chance <= (3/4)^49 = 7.6e-7.
+UNKNOWN_COUNT_ROUNDS = 49
 
 
-def search_unknown_count(problem: SearchProblem, seed: int) -> GroverRun | None:
-    """Doubling-iteration driver for an unknown number of matching windows.
-
-    Tries k = 1, 2, 4, ... and classically verifies each run's most-drawn
-    slot; returns the first run whose top slot verifies, or None when the
-    doubling budget is exhausted (key absent).
-    """
-    budget = 2 * math.ceil(math.sqrt(problem.db.padded_size)) + 1
-    k = 1
-    while k <= budget:
-        run = run_search(problem, iterations=k, shots=UNKNOWN_COUNT_SHOTS, seed=seed + k)
-        index = run.top_slot
-        if index < problem.db.count and problem.db.window_string(index) == problem.key:
-            return run
-        k *= 2
+def search_unknown_count(problem: SearchProblem, seed: int) -> tuple[int, int] | None:
+    """BBHT search (arXiv:quant-ph/9605034) on the closed form. Each round
+    spends k oracle calls, k uniform below a bound that grows by 6/5 up to
+    sqrt(P), and succeeds with chance sin^2((2k+1)theta). Returns (a marked
+    slot drawn uniformly, the oracle calls), or None after
+    UNKNOWN_COUNT_ROUNDS rounds at the sqrt(P) bound."""
+    marked = np.flatnonzero(problem.db.codes() == problem.key_code)
+    theta = math.asin(math.sqrt(marked.size / problem.db.padded_size))
+    cap = math.sqrt(problem.db.padded_size)
+    rng = np.random.default_rng(seed)
+    bound, calls, saturated = 1.0, 0, 0
+    while saturated < UNKNOWN_COUNT_ROUNDS:
+        k = int(rng.integers(math.ceil(bound)))
+        calls += k
+        if rng.random() < math.sin((2 * k + 1) * theta) ** 2:
+            return int(marked[rng.integers(marked.size)]), calls
+        saturated += bound == cap
+        bound = min(6 / 5 * bound, cap)
     return None
 
 

@@ -273,21 +273,6 @@ def test_classical_scan_equals_window_compare(case):
         i for i in range(db.count) if db.window_string(i) == key]
 
 
-def test_search_unknown_count_repeated_key():
-    genome = "ATGATG"
-    db = build_window_db(genome, 3)  # ATG appears at 0 and 3
-    problem = grover.make_problem(db, "ATG")
-    run = grover.search_unknown_count(problem, seed=11)
-    assert run is not None
-    assert run.matched_indices in ([0], [3], [0, 3])
-
-
-def test_search_unknown_count_absent_key():
-    db = build_window_db("AAAA", 2)
-    problem = grover.make_problem(db, "CC")
-    assert grover.search_unknown_count(problem, seed=4) is None
-
-
 def test_loading_cost_scan_small():
     scan = grover.loading_cost_scan([64, 128, 256, 512], 2, seed=7)
     assert [r.genome_length for r in scan.rows] == [64, 128, 256, 512]
@@ -402,6 +387,70 @@ def test_circuit_lengths_match_built_circuits(case):
     v = grover.build_state_prep(problem.db)
     assert grover.circuit_lengths(problem) == (
         len(v), len(grover.build_oracle(problem)), len(grover.build_diffusion(v)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_problems(), st.integers(0, 2**31))
+@example(("A", "C"), 1)  # P = 1 and absent: every k is 0, the rounds still end
+@example(("A", "A"), 2)  # P = m = 1
+@example(("AAAA", "AA"), 3)  # every window is marked
+@example(("GATTACA", "GAT"), 4)  # padded
+@example(("TATGA", "C"), 5)  # padded and absent
+def test_search_unknown_count_finds_a_match_or_none(case, seed):
+    genome, key = case
+    db = build_window_db(genome, len(key))
+    problem = grover.make_problem(db, key)
+    scan = grover.classical_scan(db, key)
+    found = grover.search_unknown_count(problem, seed)
+    assert (found is None) == (not scan)
+    if found is not None:
+        slot, calls = found
+        assert slot in scan
+        assert calls >= 0
+    assert grover.search_unknown_count(problem, seed) == found
+
+
+def bbht_round_success(m, p, bound):
+    """BBHT Lemma 2: the chance that a round with k uniform below ``bound``
+    finds one of m marked slots among p; every round succeeds when m = p."""
+    if m == p:
+        return 1.0
+    theta = math.asin(math.sqrt(m / p))
+    return 0.5 - math.sin(4 * bound * theta) / (4 * bound * math.sin(2 * theta))
+
+
+def bbht_expected_calls(m, p):
+    """Sum over rounds r of S_r (ceil(M_r) - 1) / 2, with S_r the chance of
+    reaching round r and M_r its bound, up to the round budget."""
+    cap, bound, reach, total, saturated = math.sqrt(p), 1.0, 1.0, 0.0, 0
+    while saturated < grover.UNKNOWN_COUNT_ROUNDS:
+        total += reach * (math.ceil(bound) - 1) / 2
+        reach *= 1 - bbht_round_success(m, p, math.ceil(bound))
+        saturated += bound == cap
+        bound = min(6 / 5 * bound, cap)
+    return total
+
+
+@pytest.mark.parametrize("p, expected", [(2**6, 5.80), (2**8, 15.52), (2**10, 37.09)])
+def test_search_unknown_count_oracle_calls_match_lemma_2(p, expected):
+    exact = bbht_expected_calls(1, p)
+    assert exact == pytest.approx(expected, abs=0.005)
+    problem = grover.make_problem(build_window_db("A" * (p - 1) + "C", 1), "C")
+    runs = [grover.search_unknown_count(problem, seed) for seed in range(2000)]
+    assert {slot for slot, _ in runs} == {p - 1}
+    calls = np.array([c for _, c in runs], float)
+    stderr = calls.std(ddof=1) / math.sqrt(calls.size)
+    assert abs(calls.mean() - exact) <= 5 * stderr
+
+
+def test_search_unknown_count_round_budget_premise():
+    # At the saturated bound ceil(sqrt(P)) a round succeeds with chance >= 1/4
+    # for every m >= 1, so the budget misses a present key with chance < 1e-6.
+    for p in (2**n for n in range(11)):
+        bound = math.ceil(math.sqrt(p))
+        for m in range(1, p + 1):
+            assert bbht_round_success(m, p, bound) >= 0.25, (m, p)
+    assert 0.75 ** grover.UNKNOWN_COUNT_ROUNDS < 1e-6
 
 
 def test_slot_evolution_detects_norm_drift(monkeypatch):
