@@ -389,6 +389,23 @@ def test_circuit_lengths_match_built_circuits(case):
         len(v), len(grover.build_oracle(problem)), len(grover.build_diffusion(v)))
 
 
+def test_search_unknown_count_repeated_key():
+    genome = "ATGATG"
+    db = build_window_db(genome, 3)  # ATG appears at 0 and 3
+    problem = grover.make_problem(db, "ATG")
+    found = grover.search_unknown_count(problem, seed=11)
+    assert found is not None
+    slot, calls = found
+    assert slot in (0, 3)
+    assert calls >= 0
+
+
+def test_search_unknown_count_absent_key():
+    db = build_window_db("AAAA", 2)
+    problem = grover.make_problem(db, "CC")
+    assert grover.search_unknown_count(problem, seed=4) is None
+
+
 @settings(max_examples=100, deadline=None)
 @given(search_problems(), st.integers(0, 2**31))
 @example(("A", "C"), 1)  # P = 1 and absent: every k is 0, the rounds still end
