@@ -241,8 +241,7 @@ def cmd_grover_demo(args) -> int:
         "p_exact": run.p_exact,
         "histogram": run.histogram,
         "top_outcome": max(run.histogram, key=run.histogram.get),
-        "decoded": {"index": index, "base": db.window_string(index)
-                    if index < db.count else None},
+        "decoded": {"index": index, "base": db.window_string(index)},
         "matches": run.matches,
     }
     _emit_json(args, payload)
@@ -302,14 +301,15 @@ def _parse_freq(text: str) -> float:
 
 
 def cmd_runtime(args) -> int:
-    if args.freq:
+    if args.freq is not None:
         hw = runtime.HardwareProfile(
             args.profile, _number("--freq", args.freq, _parse_freq))
     else:
         hw = runtime.BUILTIN_PROFILES[args.profile]
     n = _number("--N", args.N, _whole)
     _at_least_one("--N", [n])
-    sweep_sizes = _numbers("--sweep", args.sweep, _whole) if args.sweep else [n]
+    sweep_sizes = ([n] if args.sweep is None
+                   else _numbers("--sweep", args.sweep, _whole))
     _at_least_one("--sweep", sweep_sizes)
     depth = runtime.max_depth_per_call(n, args.budget, hw)
     estimate = runtime.quantum_runtime(n, depth, hw)
@@ -331,7 +331,7 @@ def cmd_runtime(args) -> int:
 
 def _build_encoding(args) -> qubo.Encoding:
     problem = args.problem
-    if args.input:
+    if args.input is not None:
         with open(args.input) as fh:
             text = fh.read()
     elif problem not in ("assembly-path", "tsp-path"):
@@ -403,7 +403,7 @@ def cmd_qubo_solve(args) -> int:
 def cmd_tts_scan(args) -> int:
     _require_seed(args)
     sizes = _sizes(args.sizes)
-    t_grid = _numbers("--t-grid", args.t_grid, float)
+    t_grid = _numbers("--t-grid", args.t_grid, qubo._finite)
     rows = ["N,t,p_hat,R,TTS"]
     star_rows = ["N,TTS_star,t_star,boundary_flag"]
     tts_star: dict[float, float] = {}

@@ -37,7 +37,6 @@ from .sim import Circuit, Gate, bitstring
 @dataclass(frozen=True)
 class SearchProblem:
     db: ReadWindowDatabase
-    key: str  # base string of length M
     layout: RegisterLayout
     key_code: int  # the key's bits as one number, as windows are coded
 
@@ -59,7 +58,7 @@ def make_problem(db: ReadWindowDatabase, key: str) -> SearchProblem:
         )
     _check_slots(db.count)
     layout = layout_for(len(db.genome), db.window_length)
-    return SearchProblem(db, key, layout, int(encode_window(key), 2))
+    return SearchProblem(db, layout, int(encode_window(key), 2))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 from typing import Callable, ClassVar, Sequence
+
+import numpy as np
 
 from .errors import CapacityError, ParseError, ShapeError
 
@@ -34,7 +37,10 @@ def _model_size(n: int) -> int:
 class Model:
     """E(x) = sum h_i x_i + sum_{i<j} J_ij x_i x_j + offset, where x_i is a
     spin in {-1,+1} when the class's ``spin`` is true and a bit in {0,1}
-    otherwise."""
+    otherwise.
+
+    The solvers' inputs below are derived on first use and cached on the
+    model, so they assume that ``J`` is never mutated after construction."""
 
     spin: ClassVar[bool]
     n: int
@@ -50,6 +56,51 @@ class Model:
         for (i, j) in self.J:
             if not (0 <= i < j < self.n):
                 raise ValueError(f"coupling key {(i, j)} must satisfy 0 <= i < j < n")
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``h``, the coupling ``pairs`` (one (i, j) row each) and their
+        weights ``w``, as arrays in ``J`` order."""
+        return (np.asarray(self.h, dtype=float),
+                np.array(list(self.J), dtype=np.intp).reshape(-1, 2),
+                np.fromiter(self.J.values(), dtype=float, count=len(self.J)))
+
+    @cached_property
+    def scale(self) -> float:
+        """The sum of |coefficients|, which bounds every partial sum of every
+        energy; ValueError when it is not finite, as energies can overflow."""
+        scale = sum(map(abs, (self.offset, *self.h, *self.J.values())))
+        if not math.isfinite(scale):
+            raise ValueError("model energies overflow: the sum of "
+                             "|coefficients| is not finite")
+        return scale
+
+    @cached_property
+    def exact(self) -> bool:
+        """True when every coefficient is an integer and 4 * scale < 2^53, so
+        that every field, dE and running energy is an exactly represented
+        integer, equal to ``energy`` of its state."""
+        return (4 * self.scale < 2.0**53
+                and all(float(c).is_integer()
+                        for c in (self.offset, *self.h, *self.J.values())))
+
+    @cached_property
+    def rises(self) -> list[list[tuple[int, float]]]:
+        """``rises[i]`` holds (j, w_ij * |step|) for each neighbour j of i,
+        the add to field j when x_i steps up; a variable's step is the change
+        its flip makes, +-2 for a spin and +-1 for a bit."""
+        # Scaling by a power of two is exact: each add is bit for bit w * step.
+        size = 2 if self.spin else 1
+        rises = [[] for _ in range(self.n)]
+        for (i, j), w in self.J.items():
+            rises[i].append((j, w * size))
+            rises[j].append((i, w * size))
+        return rises
+
+    @cached_property
+    def falls(self) -> list[list[tuple[int, float]]]:
+        """``rises`` negated: the adds when x_i steps down."""
+        return [[(j, -up) for j, up in rise] for rise in self.rises]
 
 
 class IsingModel(Model):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError
@@ -84,61 +83,6 @@ class SuccessStats:
 BLOCK_ENTRIES = 1 << 14
 
 
-@dataclass(frozen=True)
-class PreparedModel:
-    """Everything the solvers read of a model, derived once by ``prepare``:
-    the fields ``h``, the coupling ``pairs`` (one (i, j) row each) and their
-    weights ``w``, as arrays in ``J`` order; ``scale``, the sum of
-    |coefficients|, which bounds every partial sum of every energy; and
-    ``exact``, true when every coefficient is an integer and 4 * scale < 2^53,
-    so that every field, dE and running energy is an exactly represented
-    integer, equal to ``energy`` of its state.
-
-    The SA kernel's neighbour lists are built on first use, so brute force
-    never builds them. A variable's step is the change its flip makes: +-2
-    for a spin, +-1 for a bit. ``rises[i]`` holds (j, w_ij * |step|) for each
-    neighbour j of i, the add to f_j when x_i steps up, and ``falls[i]`` the
-    same negated."""
-
-    model: Model
-    h: np.ndarray
-    pairs: np.ndarray
-    w: np.ndarray
-    scale: float
-    exact: bool
-
-    @cached_property
-    def rises(self) -> list[list[tuple[int, float]]]:
-        # Scaling by a power of two is exact: each add is bit for bit w * step.
-        size = 2 if self.model.spin else 1
-        rises = [[] for _ in range(self.model.n)]
-        for (i, j), w in self.model.J.items():
-            rises[i].append((j, w * size))
-            rises[j].append((i, w * size))
-        return rises
-
-    @cached_property
-    def falls(self) -> list[list[tuple[int, float]]]:
-        return [[(j, -up) for j, up in rise] for rise in self.rises]
-
-
-def prepare(model: Model) -> PreparedModel:
-    """The solvers' per-model inputs; ValueError when the model's energies
-    can overflow, that is when the sum of |coefficients| is not finite."""
-    coefficients = (model.offset, *model.h, *model.J.values())
-    scale = sum(map(abs, coefficients))
-    if not math.isfinite(scale):
-        raise ValueError("model energies overflow: the sum of |coefficients| "
-                         "is not finite")
-    exact = (4 * scale < 2.0**53
-             and all(float(c).is_integer() for c in coefficients))
-    return PreparedModel(
-        model, np.asarray(model.h, dtype=float),
-        np.array(list(model.J), dtype=np.intp).reshape(-1, 2),
-        np.fromiter(model.J.values(), dtype=float, count=len(model.J)),
-        scale, exact)
-
-
 def _assignments(index: np.ndarray, n: int, spin: bool) -> np.ndarray:
     """Row r holds the n variable values of flat index index[r] (bit i = var i)."""
     bits = (index[:, None] >> np.arange(n)) & 1
@@ -181,9 +125,8 @@ def brute_force(model: Model) -> tuple[float, list[tuple[int, ...]]]:
         raise CapacityError(
             f"{n} variables exceeds brute-force cap {BRUTE_FORCE_MAX_VARS}"
         )
-    prepared = prepare(model)
-    h, pairs, w = prepared.h, prepared.pairs, prepared.w
-    d = 0.0 if prepared.exact else 2.0**-51 * (1 + n + len(w)) * prepared.scale
+    h, pairs, w = model.arrays
+    d = 0.0 if model.exact else 2.0**-51 * (1 + n + len(w)) * model.scale
     window = 1e-12 + 2 * d
     spin = model.spin
     mirror = spin and n >= 2 and not any(model.h)
@@ -222,32 +165,32 @@ def brute_force(model: Model) -> tuple[float, list[tuple[int, ...]]]:
     index = np.concatenate(found)
     if mirror:
         index = np.concatenate([index, (1 << n) - 1 - index[::-1]])
-    return _ties(prepared, _assignments(index, n, spin))
+    return _ties(model, _assignments(index, n, spin))
 
 
-def _energies(prepared: PreparedModel, values: np.ndarray) -> np.ndarray:
+def _energies(model: Model, values: np.ndarray) -> np.ndarray:
     """``energy`` of every row of ``values``, bit for bit: its terms and
     products, summed left to right (``accumulate``) in its order, over blocks
     of rows of about ``BLOCK_ENTRIES`` terms."""
-    h, pairs, w = prepared.h, prepared.pairs, prepared.w
+    h, pairs, w = model.arrays
     rows = max(1, BLOCK_ENTRIES // (1 + len(h) + len(w)))
     energies = []
     for start in range(0, len(values), rows):
         v = values[start:start + rows].T.astype(float)
         terms = np.concatenate([
-            np.full((1, v.shape[1]), float(prepared.model.offset)),
+            np.full((1, v.shape[1]), float(model.offset)),
             h[:, None] * v, w[:, None] * v[pairs[:, 0]] * v[pairs[:, 1]]])
         energies.append(np.add.accumulate(terms)[-1])
     return np.concatenate(energies)
 
 
-def _ties(prepared: PreparedModel,
+def _ties(model: Model,
           values: np.ndarray) -> tuple[float, list[tuple[int, ...]]]:
     """The lowest ``energy`` of the rows (its first occurrence, for the sign
     of a zero), and every row whose ``energy`` is within 1e-12 of it, in
     order. A row past that margin is one that only the matmul's rounding
     window let in."""
-    energies = _energies(prepared, values)
+    energies = _energies(model, values)
     best_e = float(energies[np.argmin(energies)])
     keep = energies - best_e <= 1e-12
     return best_e, list(map(tuple, values[keep].tolist()))
@@ -256,7 +199,7 @@ def _ties(prepared: PreparedModel,
 SWEEPS_PER_DRAW = 8  # sweeps per block of the estimator's draws
 
 
-def _anneal(prepared: PreparedModel, schedule: AnnealSchedule,
+def _anneal(model: Model, schedule: AnnealSchedule,
             rng: np.random.Generator, runs: int, stop: float | None = None,
             sweeps_per_draw: int = SWEEPS_PER_DRAW
             ) -> list[tuple[list[int], list[float], bool]]:
@@ -280,13 +223,12 @@ def _anneal(prepared: PreparedModel, schedule: AnnealSchedule,
     below ``stop`` (by ``energy``, unless the model is ``exact``), as no
     later draw can undo that hit. A start state that meets the same rule
     is a hit before the first sweep, with an empty trace."""
-    model, exact = prepared.model, prepared.exact
-    rises, falls = prepared.rises, prepared.falls
+    exact, rises, falls = model.exact, model.rises, model.falls
     n = model.n
     spin = model.spin
     bits = rng.integers(0, 2, size=(runs, n))
     start_vals = 2 * bits - 1 if spin else bits
-    h, pairs, w = prepared.h, prepared.pairs, prepared.w
+    h, pairs, w = model.arrays
     start_fields = np.tile(h, runs)
     # Coupling (i, j) adds w * v_j to f_i, then w * v_i to f_j, run by run.
     np.add.at(start_fields, (n * np.arange(runs)[:, None] + pairs.ravel()).ravel(),
@@ -352,19 +294,19 @@ def simulated_annealing(model: Model, schedule: AnnealSchedule,
     A run never stops early, so it draws its targets and limits in blocks of
     up to ``BLOCK_ENTRIES``, not per ``SWEEPS_PER_DRAW`` sweeps."""
     [(best, trace, _)] = _anneal(
-        prepare(model), schedule, np.random.default_rng(seed), 1,
+        model, schedule, np.random.default_rng(seed), 1,
         sweeps_per_draw=max(1, BLOCK_ENTRIES // model.n))
     best = tuple(best)
     return SolverRun(best, energy(model, best), trace)
 
 
-def estimate_success_probability(model: Model | PreparedModel,
-                                 schedule: AnnealSchedule, runs: int,
+def estimate_success_probability(model: Model, schedule: AnnealSchedule,
+                                 runs: int,
                                  threshold: float,
                                  seed: int | Sequence[int]) -> SuccessStats:
     """``runs`` SA runs from one generator seeded with ``seed``; success iff
-    best energy <= threshold. ``model`` may come already prepared, so that a
-    curve of estimates prepares its model once.
+    best energy <= threshold. The model's cached neighbour lists serve every
+    estimate of a curve.
 
     A run stops at its first confirmed hit, since the rest of its schedule
     cannot undo it, and no other run's draws move when it does; TTS still
@@ -372,21 +314,21 @@ def estimate_success_probability(model: Model | PreparedModel,
     running energy is ``energy``, so a run succeeds iff it hit, its start
     state included, without calling ``energy``.
     CapacityError, before any draw, when the runs' (runs, n) arrays would
-    hold more than ``MODEL_MAX_VARS`` entries.
+    hold more than ``MODEL_MAX_VARS`` entries; the overflow ValueError of
+    ``scale`` comes before it.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    prepared = model if isinstance(model, PreparedModel) else prepare(model)
-    if runs * prepared.model.n > MODEL_MAX_VARS:
-        raise CapacityError(f"{runs} runs of {prepared.model.n} variables "
+    exact = model.exact
+    if runs * model.n > MODEL_MAX_VARS:
+        raise CapacityError(f"{runs} runs of {model.n} variables "
                             f"exceed the model-size cap {MODEL_MAX_VARS}")
     stop = threshold + 1e-9
-    results = _anneal(prepared, schedule, np.random.default_rng(seed), runs,
-                      stop)
-    if prepared.exact:
+    results = _anneal(model, schedule, np.random.default_rng(seed), runs, stop)
+    if exact:
         successes = sum(hit for _, _, hit in results)
     else:
-        successes = sum(hit or energy(prepared.model, best) <= stop
+        successes = sum(hit or energy(model, best) <= stop
                         for best, _, hit in results)
     return SuccessStats(runs=runs, successes=successes, threshold=threshold)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import UnboundedRepetitionsError
 from .qubo import Model
-from .solvers import AnnealSchedule, estimate_success_probability, prepare
+from .solvers import AnnealSchedule, estimate_success_probability
 
 
 def repetitions_needed(p_hat: float, p_d: float) -> int:
@@ -45,7 +45,6 @@ class TTSPoint:
 @dataclass(frozen=True)
 class TTSCurve:
     points: tuple[TTSPoint, ...]
-    target_p: float
 
     def valid_points(self) -> list[TTSPoint]:
         return [p for p in self.points if not p.excluded]
@@ -70,7 +69,7 @@ def tts_curve(p_estimator: Callable[[float], float], t_grid: Sequence[float],
             points.append(TTSPoint(t, p_hat, None, None))
             continue
         points.append(TTSPoint(t, p_hat, r, r * t))
-    curve = TTSCurve(tuple(points), p_d)
+    curve = TTSCurve(tuple(points))
     if not curve.valid_points():
         raise ValueError("every grid point was excluded (p_hat = 0 throughout)")
     return curve
@@ -82,10 +81,10 @@ def sa_probability_estimator(model: Model, threshold: float, runs: int,
     at t draws from ``[*seed, t]`` (``[seed, t]`` for an int seed).
 
     t is a sweep count, so the estimator raises ValueError unless t is a
-    whole number >= 1: TTS = R x t must count sweeps that were run. The
-    model is prepared once, for every t.
+    whole number >= 1: TTS = R x t must count sweeps that were run. Every
+    t's estimate reads the same model, so its cached neighbour lists are
+    built once.
     """
-    prepared = prepare(model)
     entropy = list(seed) if isinstance(seed, Sequence) else [seed]
 
     def estimate(t: float) -> float:
@@ -94,7 +93,7 @@ def sa_probability_estimator(model: Model, threshold: float, runs: int,
                 f"SA run time t must be a whole number of sweeps >= 1, got {t:g}")
         schedule = AnnealSchedule(sweeps=int(t))
         stats = estimate_success_probability(
-            prepared, schedule, runs=runs, threshold=threshold,
+            model, schedule, runs=runs, threshold=threshold,
             seed=[*entropy, int(t)],
         )
         return stats.p_hat
@@ -134,8 +133,6 @@ class FitResult:
 
 @dataclass(frozen=True)
 class ScalingFit:
-    sizes: tuple[float, ...]
-    tts_star: tuple[float, ...]
     power_law: FitResult
     exponential: FitResult
 
@@ -166,8 +163,6 @@ def scaling_fit(tts_by_size: Mapping[float, float]) -> ScalingFit:
         raise ValueError("TTS* values must be positive")
     logy = np.log(values)
     return ScalingFit(
-        sizes=tuple(sizes),
-        tts_star=tuple(values),
         power_law=_least_squares(np.log(sizes), logy, "power-law"),
         exponential=_least_squares(sizes, logy, "exponential"),
     )

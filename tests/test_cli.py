@@ -281,9 +281,16 @@ def test_runtime_sweep_rows(capsys):
     (["runtime", "--N", "1e3", "--freq", "10xHz"], "--freq", "10xHz"),
     (["runtime", "--N", "1.5"], "--N", "1.5"),
     (["runtime", "--N", "100", "--sweep", "1.5"], "--sweep", "1.5"),
+    (["runtime", "--N", "100", "--freq="], "--freq", ""),
+    (["runtime", "--N", "100", "--sweep="], "--sweep", ""),
+    (["tts-scan", "--sizes", "8,9,10", "--t-grid", "1,inf", "--stub-tau", "1"],
+     "--t-grid", "inf"),
+    (["tts-scan", "--t-grid", "nan", "--stub-tau", "1"], "--t-grid", "nan"),
 ], ids=["loading-sizes", "tts-sizes", "tts-t-grid", "runtime-sweep",
         "runtime-sweep-inf", "runtime-N", "runtime-N-inf", "runtime-N-list",
-        "runtime-freq", "runtime-N-fraction", "runtime-sweep-fraction"])
+        "runtime-freq", "runtime-N-fraction", "runtime-sweep-fraction",
+        "runtime-freq-empty", "runtime-sweep-empty", "tts-t-grid-inf",
+        "tts-t-grid-nan"])
 def test_bad_number_in_flag_exits_three(capsys, argv, flag, value):
     code, out, err = run_cli(argv + ["--seed", "1", "--no-timestamp"], capsys)
     assert code == 3
@@ -708,6 +715,17 @@ def test_qubo_build_needs_input(capsys):
     assert err == "genoq: error: max-cut builds need --input\n"
 
 
+def test_qubo_build_empty_input_is_read_not_skipped(capsys):
+    # An empty --input names a file to open, not a missing flag, so a
+    # tsp-path build does not fall back to a random instance.
+    code, out, err = run_cli(
+        ["qubo-build", "--problem", "tsp-path", "--input=", "--n", "3",
+         "--seed", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("genoq: error: ") and err.count("\n") == 1
+
+
 MODEL_LINES = st.one_of(
     st.sampled_from(["QUBO 3 0 spin", "QUBO 2 0.5 binary", "QUBO 1 0 spin"]),
     st.builds("{} {} {}".format, st.integers(-2, 4), st.integers(-2, 4),
@@ -872,28 +890,31 @@ def test_tts_scan_golden_output_without_brute_force(capsys, monkeypatch):
 
 
 def test_tts_scan_prepares_each_model_once(capsys, monkeypatch):
-    # Each model is prepared once, wherever ``prepare`` is called from, and
-    # its neighbour lists are built for the SA runs; every t's estimate
-    # still goes through estimate_success_probability.
-    calls, prepared = {}, []
-    for module, name in ((solvers, "prepare"), (tts, "prepare"),
-                         (tts, "estimate_success_probability")):
-        def counted(*args, name=name, original=getattr(module, name),
-                    **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            result = original(*args, **kwargs)
-            if name == "prepare":
-                prepared.append(result)
-            return result
+    # Every t's estimate reads the size's one planted model, which caches
+    # the neighbour lists that its SA runs build; every t's estimate still
+    # goes through estimate_success_probability.
+    models, estimates = [], []
 
-        monkeypatch.setattr(module, name, counted)
+    def planted(*args, original=solvers.planted_ferromagnet, **kwargs):
+        models.append(original(*args, **kwargs))
+        return models[-1]
+
+    def counted(model, *args, original=tts.estimate_success_probability,
+                **kwargs):
+        estimates.append(model)
+        return original(model, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "planted_ferromagnet", planted)
+    monkeypatch.setattr(tts, "estimate_success_probability", counted)
     code, out, _ = run_cli(
         ["tts-scan", "--sizes", "8,10,12", "--t-grid", "1,2,4,8,16",
          "--runs", "8", "--seed", "5", "--no-timestamp"], capsys)
     assert code == 0
     assert out == TTS_GOLDEN
-    assert calls == {"prepare": 3, "estimate_success_probability": 15}
-    assert all("rises" in vars(p) and "falls" in vars(p) for p in prepared)
+    assert len(models) == 3
+    assert len(estimates) == 15
+    assert all(m is models[k // 5] for k, m in enumerate(estimates))
+    assert all("rises" in vars(m) and "falls" in vars(m) for m in models)
 
 
 def test_tts_scan_gives_every_model_and_estimate_its_own_seed(capsys, monkeypatch):
@@ -1024,6 +1045,18 @@ def test_config_value_gets_the_flag_type(tmp_path, capsys):
         ["--config", str(cfg), "grover-demo", "--seed", "1"], capsys)
     assert code == 3
     assert "invalid int value: '2.5'" in err
+
+
+@pytest.mark.parametrize("key", ["freq", "sweep"])
+def test_empty_config_value_is_read_not_skipped(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"{key}=\n")
+    code, out, err = run_cli(
+        ["--config", str(cfg), "runtime", "--N", "100", "--no-timestamp"],
+        capsys)
+    assert code == 3
+    assert out == ""
+    assert err == f"genoq: parse error: bad --{key} value ''\n"
 
 
 @pytest.mark.parametrize("flag, value", [

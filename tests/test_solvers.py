@@ -182,39 +182,29 @@ def test_field_free_brute_force_equals_reference(model):
         assert len(best) == 1 << model.n
 
 
-def capture_prepared(monkeypatch):
-    """The list that every later ``solvers.prepare`` call appends its
-    result to."""
-    prepared = []
-    original = solvers.prepare
-
-    def capturing(model):
-        prepared.append(original(model))
-        return prepared[-1]
-
-    monkeypatch.setattr(solvers, "prepare", capturing)
-    return prepared
-
-
 BRUTE_MODELS = (chain_ferromagnet(9), NEAR_TIE_THIRDS,
                 random_model(np.random.default_rng(0), 9, BinaryModel))
 
 
-def test_brute_force_builds_model_arrays_once(monkeypatch):
-    prepared = capture_prepared(monkeypatch)
-    for model in BRUTE_MODELS:
-        prepared.clear()
+def test_brute_force_never_builds_neighbour_lists():
+    # Brute force caches the arrays, scale and exact it reads on the model,
+    # but not SA's neighbour lists. Fresh copies: another test may have run
+    # SA on a shared model.
+    for model in map(dataclasses.replace, BRUTE_MODELS):
         brute_force(model)
-        assert [p.model for p in prepared] == [model]
+        cached = vars(model)
+        assert {"arrays", "scale", "exact"} <= cached.keys()
+        assert "rises" not in cached and "falls" not in cached
 
 
-def test_brute_force_never_builds_neighbour_lists(monkeypatch):
-    prepared = capture_prepared(monkeypatch)
-    for model in BRUTE_MODELS:
-        brute_force(model)
-    assert len(prepared) == len(BRUTE_MODELS)
-    for p in prepared:
-        assert "rises" not in vars(p) and "falls" not in vars(p)
+def test_cached_arrays_follow_the_fields_in_J_order():
+    model = BinaryModel(4, (1.0, -2.0, 0.5, 3.0),
+                        {(2, 3): -1.5, (0, 1): 2.0, (1, 3): 4.0}, 0.25)
+    h, pairs, w = model.arrays
+    assert h.tolist() == list(model.h)
+    assert list(map(tuple, pairs.tolist())) == list(model.J)
+    assert w.tolist() == list(model.J.values())
+    assert model.arrays is model.arrays
 
 
 # All 16 states are optima: each ``energy`` is within 1e-12 of -1.0. The 4
@@ -277,10 +267,10 @@ def test_tie_filter_equals_energy_list_filter(model):
     # The array filter must keep exactly the rows a per-assignment ``energy``
     # filter keeps; (1, 1, 0) and (0, 0, 1) above tie to within 6e-17.
     rows, energies = reference_enumeration(model)
-    values, prepared = np.array(rows), solvers.prepare(model)
-    assert solvers._energies(prepared, values).tolist() == energies
+    values = np.array(rows)
+    assert solvers._energies(model, values).tolist() == energies
     best = min(energies)
-    assert solvers._ties(prepared, values) == (
+    assert solvers._ties(model, values) == (
         best, [a for a in rows if abs(energy(model, a) - best) <= 1e-12])
 
 
@@ -289,7 +279,11 @@ def test_tie_filter_equals_energy_list_filter(model):
     lambda model: simulated_annealing(model, AnnealSchedule(sweeps=3), 1),
     lambda model: estimate_success_probability(
         model, AnnealSchedule(sweeps=3), runs=2, threshold=0.0, seed=1),
-], ids=["brute", "sa", "sa-estimate"])
+    # The overflow is reported before the runs' capacity check.
+    lambda model: estimate_success_probability(
+        model, AnnealSchedule(sweeps=3), runs=solvers.MODEL_MAX_VARS,
+        threshold=0.0, seed=1),
+], ids=["brute", "sa", "sa-estimate", "sa-estimate-past-cap"])
 def test_brute_force_rejects_overflowing_energies(solve):
     with pytest.raises(ValueError, match="overflow"):
         solve(IsingModel(2, (1e308, 1e308), {(0, 1): 1e308}))
@@ -534,8 +528,7 @@ def test_sa_hit_rates_match_per_block_draw_kernel(cls, sweeps):
 
 def full_runs(model, schedule, runs, seed):
     """The estimator's runs, from its generator, each annealed to the end."""
-    return solvers._anneal(solvers.prepare(model), schedule,
-                           np.random.default_rng(seed), runs)
+    return solvers._anneal(model, schedule, np.random.default_rng(seed), runs)
 
 
 def test_success_probability_counts_sa_runs():
@@ -562,8 +555,7 @@ def test_anneal_single_run_equals_simulated_annealing(cls, sweeps):
         model = random_model(np.random.default_rng(model_seed), 9, cls)
         schedule = AnnealSchedule(sweeps=sweeps)
         [(best, trace, hit)] = solvers._anneal(
-            solvers.prepare(model), schedule,
-            np.random.default_rng(model_seed), 1,
+            model, schedule, np.random.default_rng(model_seed), 1,
             sweeps_per_draw=solvers.BLOCK_ENTRIES // 9)
         run = simulated_annealing(model, schedule, seed=model_seed)
         assert (tuple(best), trace, hit) == (run.best_assignment, run.trace,
@@ -580,8 +572,8 @@ def test_run_trace_does_not_change_when_other_runs_stop():
     model = random_model(np.random.default_rng(3), 12)
     schedule = AnnealSchedule(sweeps=30)
     ground, _ = brute_force(model)
-    stopped = solvers._anneal(solvers.prepare(model), schedule,
-                              np.random.default_rng(6), 24, stop=ground + 1e-9)
+    stopped = solvers._anneal(model, schedule, np.random.default_rng(6), 24,
+                              stop=ground + 1e-9)
     full = full_runs(model, schedule, 24, seed=6)
     assert 0 < sum(hit for _, _, hit in stopped) < 24
     for (best, trace, hit), (_, full_trace, _) in zip(stopped, full):
@@ -606,8 +598,8 @@ def test_run_that_starts_at_the_stop_stops_before_its_first_sweep(model):
     starts = (2 * bits - 1 if model.spin else bits).tolist()
     energies = [energy(model, start) for start in starts]
     first = int(np.argmin(energies))
-    stopped = solvers._anneal(solvers.prepare(model), schedule,
-                              np.random.default_rng(4), 6, energies[first] + 1e-9)
+    stopped = solvers._anneal(model, schedule, np.random.default_rng(4), 6,
+                              energies[first] + 1e-9)
     full = full_runs(model, schedule, 6, seed=4)
     assert stopped[first] == (starts[first], [], True)
     assert len(full[first][1]) == 20
@@ -649,9 +641,8 @@ def test_exact_shortcut_counts_the_confirmed_successes(model, threshold, sweeps,
     # On an integer model the running energy decides hits and successes
     # without ``energy``; with confirmation forced on, the same runs succeed.
     # A threshold at run 0's start energy is met before any move.
-    prepared = solvers.prepare(model)
     coefficients = (model.offset, *model.h, *model.J.values())
-    assert prepared.exact == all(c == int(c) for c in coefficients)
+    assert model.exact == all(c == int(c) for c in coefficients)
     if threshold == "start":
         bits = np.random.default_rng(seed).integers(0, 2, size=(runs, model.n))
         threshold = energy(model, (2 * bits[0] - 1 if model.spin
@@ -659,11 +650,12 @@ def test_exact_shortcut_counts_the_confirmed_successes(model, threshold, sweeps,
     else:
         threshold += brute_force(model)[0]
     schedule = AnnealSchedule(sweeps=sweeps)
-    stats = estimate_success_probability(prepared, schedule, runs, threshold,
+    stats = estimate_success_probability(model, schedule, runs, threshold,
                                          seed)
-    confirmed = estimate_success_probability(
-        dataclasses.replace(prepared, exact=False), schedule, runs, threshold,
-        seed)
+    forced = dataclasses.replace(model)
+    vars(forced)["exact"] = False
+    confirmed = estimate_success_probability(forced, schedule, runs,
+                                             threshold, seed)
     assert stats == confirmed
 
 
@@ -676,7 +668,7 @@ def test_exact_shortcut_counts_the_confirmed_successes(model, threshold, sweeps,
 def test_only_exact_models_skip_energy(monkeypatch, model, exact):
     # Real weights, or integers with 4 * sum of |coefficients| >= 2^53, need
     # ``energy`` to confirm each run: at least one call per run.
-    assert solvers.prepare(model).exact == exact
+    assert model.exact == exact
     ground, _ = brute_force(model)
     calls = []
 

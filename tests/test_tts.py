@@ -93,12 +93,12 @@ def test_optimal_tts_tie_breaks_to_smaller_t():
         TTSPoint(2.0, 0.9, 2, 4.0),
         TTSPoint(3.0, 0.9, 2, 6.0),
     )
-    best = optimal_tts(TTSCurve(points, 0.9))
+    best = optimal_tts(TTSCurve(points))
     assert best.t == 1.0
 
 
 def test_optimal_tts_without_valid_points_raises():
-    curve = TTSCurve((TTSPoint(1.0, 0.0, None, None),), 0.9)
+    curve = TTSCurve((TTSPoint(1.0, 0.0, None, None),))
     with pytest.raises(ValueError, match="no valid points"):
         optimal_tts(curve)
 
