@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from genoq import solvers
 from genoq.errors import CapacityError
-from genoq.qubo import BinaryModel, IsingModel, energy, maxcut_to_ising, WeightedGraph
+from genoq.qubo import (
+    BinaryModel, IsingModel, Model, WeightedGraph, energy, maxcut_to_ising)
 from genoq.solvers import (
     BRUTE_FORCE_MAX_VARS,
     AnnealSchedule,
@@ -184,6 +186,25 @@ def test_field_free_brute_force_equals_reference(model):
 
 BRUTE_MODELS = (chain_ferromagnet(9), NEAR_TIE_THIRDS,
                 random_model(np.random.default_rng(0), 9, BinaryModel))
+
+
+def test_brute_force_builds_model_arrays_once(monkeypatch):
+    # Count each derivation of a model's arrays, and run brute force twice
+    # on each fresh copy: the second run reads the cached arrays.
+    built = []
+    derive = Model.arrays.func
+
+    def counted(model):
+        built.append(model)
+        return derive(model)
+
+    arrays = cached_property(counted)
+    arrays.__set_name__(Model, "arrays")
+    monkeypatch.setattr(Model, "arrays", arrays)
+    for model in map(dataclasses.replace, BRUTE_MODELS):
+        built.clear()
+        assert brute_force(model) == brute_force(model)
+        assert built == [model] and built[0] is model
 
 
 def test_brute_force_never_builds_neighbour_lists():
