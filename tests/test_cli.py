@@ -269,6 +269,118 @@ def test_runtime_sweep_rows(capsys):
     assert len(lines) == 3
 
 
+RUNTIME_GOLDEN = [
+    (["--N", "3e9", "--sweep", "1e6,1e12"], """\
+# command=runtime
+# version=0.1.0
+# param.N=3e9
+# param.budget=60
+# param.classical_seconds=60
+# param.profile=surface-10kHz
+# param.sweep=1e6,1e12
+N,T_classical,T_quantum,crossover_flag
+1000000,0.02,1,0
+1000000000000,20000,1000,1
+# max_depth_per_call=10
+# calls=54773
+# seconds_per_call=0.001
+# seconds_total=54.773000000000003
+"""),
+    (["--N", "3e9", "--profile", "optimistic-10MHz", "--budget", "3600"], """\
+# command=runtime
+# version=0.1.0
+# param.N=3e9
+# param.budget=3600
+# param.classical_seconds=60
+# param.profile=optimistic-10MHz
+N,T_classical,T_quantum,crossover_flag
+3000000000,60,3599.9503270073046,0
+# max_depth_per_call=657258
+# calls=54773
+# seconds_per_call=0.065725800000000001
+# seconds_total=3599.9992434000001
+"""),
+    (["--N", "1e6", "--freq", "1MHz"], """\
+# command=runtime
+# version=0.1.0
+# param.N=1e6
+# param.budget=60
+# param.classical_seconds=60
+# param.freq=1MHz
+# param.profile=surface-10kHz
+N,T_classical,T_quantum,crossover_flag
+1000000,60,60,1
+# max_depth_per_call=60000
+# calls=1000
+# seconds_per_call=0.059999999999999998
+# seconds_total=60
+"""),
+]
+
+
+@pytest.mark.parametrize("argv, golden", RUNTIME_GOLDEN,
+                         ids=["sweep", "optimistic-budget", "freq"])
+def test_runtime_golden_output(capsys, argv, golden):
+    code, out, _ = run_cli(["runtime", *argv, "--no-timestamp"], capsys)
+    assert code == 0
+    assert out == golden
+
+
+GROVER_DEMO_GOLDEN = """\
+{
+  "circuit": {
+    "diffusion_gates": 19,
+    "oracle": [
+      "X 1",
+      "X 0",
+      "CZ 0 q1=1",
+      "X 0",
+      "X 1"
+    ],
+    "state_prep": [
+      "H 2",
+      "H 3",
+      "CX 0 q3=0,q2=0",
+      "CX 0 q3=1,q2=0",
+      "CX 1 q3=1,q2=1"
+    ]
+  },
+  "decoded": {
+    "base": "A",
+    "index": 1
+  },
+  "histogram": {
+    "0100": 256
+  },
+  "iterations": 1,
+  "matches": [
+    {
+      "index": 1,
+      "window": "A"
+    }
+  ],
+  "meta": {
+    "command": "grover-demo",
+    "parameters": {
+      "iterations": 1,
+      "seed": 1,
+      "shots": 256
+    },
+    "version": "0.1.0"
+  },
+  "p_exact": 1.0,
+  "top_outcome": "0100"
+}
+"""
+
+
+def test_grover_demo_golden_output(capsys):
+    code, out, _ = run_cli(
+        ["grover-demo", "--seed", "1", "--no-timestamp"], capsys)
+    assert code == 0
+    assert out == GROVER_DEMO_GOLDEN
+
+
 @pytest.mark.parametrize("argv, flag, value", [
     (["loading-scan", "--sizes", "64,abc"], "--sizes", "abc"),
     (["tts-scan", "--sizes", "8,x"], "--sizes", "x"),
