@@ -1,5 +1,7 @@
 """Command-line entry point: reproducible, seeded experiments with CSV/JSON output.
 
+The library returns plain values; this module alone builds CSV and JSON.
+
 Exit codes: 0 success, 1 domain failure, 2 capacity, 3 parse/config error.
 Each key=value line of a --config file becomes the flag it names, placed
 right after the subcommand, so flags given on the command line override it.
@@ -223,26 +225,31 @@ def _require_seed(args) -> None:
 # Subcommands
 
 
+def _matches(db, run: grover.GroverRun) -> list[dict]:
+    return [{"index": i, "window": db.window_string(i)}
+            for i in run.matched_indices]
+
+
 def cmd_grover_demo(args) -> int:
     _require_seed(args)
     db = build_window_db("TATG", 1)
     problem = grover.make_problem(db, "A")
-    circuits = grover.prepare_circuits(problem)
+    state_prep, oracle, diffusion = grover.prepare_circuits(problem)
     run = grover.run_search(problem, iterations=args.iterations,
                             shots=args.shots, seed=args.seed)
     index = run.top_slot
     payload = {
         "circuit": {
-            "state_prep": circuits.state_prep.dump().splitlines(),
-            "oracle": circuits.oracle.dump().splitlines(),
-            "diffusion_gates": len(circuits.diffusion),
+            "state_prep": state_prep.dump().splitlines(),
+            "oracle": oracle.dump().splitlines(),
+            "diffusion_gates": len(diffusion),
         },
-        "iterations": run.iterations,
+        "iterations": args.iterations,
         "p_exact": run.p_exact,
         "histogram": run.histogram,
         "top_outcome": max(run.histogram, key=run.histogram.get),
         "decoded": {"index": index, "base": db.window_string(index)},
-        "matches": run.matches,
+        "matches": _matches(db, run),
     }
     _emit_json(args, payload)
     ok = run.p_exact >= 0.999 and index == 1
@@ -270,10 +277,10 @@ def cmd_grover_search(args) -> int:
     run = grover.run_search(problem, iterations=iterations,
                             shots=args.shots, seed=args.seed)
     payload = {
-        "iterations": run.iterations,
+        "iterations": iterations,
         "p_exact": run.p_exact,
         "histogram": run.histogram,
-        "matches": run.matches,
+        "matches": _matches(db, run),
         "classical_scan": scan,
         "agreement": run.matched_indices == scan,
     }
@@ -283,11 +290,13 @@ def cmd_grover_search(args) -> int:
 
 def cmd_loading_scan(args) -> int:
     _require_seed(args)
-    scan = grover.loading_cost_scan(_sizes(args.sizes), args.window, args.seed)
-    body = scan.to_csv()
-    body += f"# prep_exponent={_fmt(scan.prep_exponent)}\n"
-    body += f"# total_exponent={_fmt(scan.total_exponent)}\n"
-    _emit_csv(args, body)
+    rows, prep_exponent, total_exponent = grover.loading_cost_scan(
+        _sizes(args.sizes), args.window, args.seed)
+    lines = ["N,prep_gates,iter_gates,total_gates"]
+    lines += [",".join(map(str, row)) for row in rows]
+    lines.append(f"# prep_exponent={_fmt(prep_exponent)}")
+    lines.append(f"# total_exponent={_fmt(total_exponent)}")
+    _emit_csv(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -312,19 +321,18 @@ def cmd_runtime(args) -> int:
                    else _numbers("--sweep", args.sweep, _whole))
     _at_least_one("--sweep", sweep_sizes)
     depth = runtime.max_depth_per_call(n, args.budget, hw)
-    estimate = runtime.quantum_runtime(n, depth, hw)
+    calls, seconds_per_call = runtime.quantum_runtime(n, depth, hw)
     classical = runtime.PowerLawModel(args.classical_seconds / n, 1.0)
     quantum = runtime.PowerLawModel(depth / hw.logical_gate_frequency, 0.5)
     lines = ["N,T_classical,T_quantum,crossover_flag"]
-    for row in runtime.runtime_sweep(sweep_sizes, classical, quantum):
-        lines.append(
-            f"{row.problem_size},{_fmt(row.t_classical)},"
-            f"{_fmt(row.t_quantum)},{int(row.crossover_flag)}"
-        )
+    for size, t_classical, t_quantum, crossover in runtime.runtime_sweep(
+            sweep_sizes, classical, quantum):
+        lines.append(f"{size},{_fmt(t_classical)},{_fmt(t_quantum)},"
+                     f"{int(crossover)}")
     lines.append(f"# max_depth_per_call={depth}")
-    lines.append(f"# calls={estimate.calls}")
-    lines.append(f"# seconds_per_call={_fmt(estimate.seconds_per_call)}")
-    lines.append(f"# seconds_total={_fmt(estimate.seconds_total)}")
+    lines.append(f"# calls={calls}")
+    lines.append(f"# seconds_per_call={_fmt(seconds_per_call)}")
+    lines.append(f"# seconds_total={_fmt(calls * seconds_per_call)}")
     _emit_csv(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -435,12 +443,12 @@ def cmd_tts_scan(args) -> int:
         tts_star[float(n)] = best.tts
     body = "\n".join(rows) + "\n" + "\n".join(star_rows) + "\n"
     if len(tts_star) >= 3:
-        fit = tts.scaling_fit(tts_star)
+        power_law, exponential = tts.scaling_fit(tts_star)
         body += (
-            f"# power_law_exponent={_fmt(fit.power_law.rate)}\n"
-            f"# power_law_stderr={_fmt(fit.power_law.rate_stderr)}\n"
-            f"# exponential_base={_fmt(fit.exponential.base)}\n"
-            f"# exponential_stderr={_fmt(fit.exponential.rate_stderr)}\n"
+            f"# power_law_exponent={_fmt(power_law.rate)}\n"
+            f"# power_law_stderr={_fmt(power_law.rate_stderr)}\n"
+            f"# exponential_base={_fmt(exponential.base)}\n"
+            f"# exponential_stderr={_fmt(exponential.rate_stderr)}\n"
         )
     _emit_csv(args, body)
     return EXIT_OK

@@ -12,12 +12,17 @@ two closed-form values, without iterating. The gate-level circuits of
 closed form and the gate counts of ``circuit_lengths`` are tested against;
 the loading-cost scan counts from structure and builds no circuit.
 ``search_unknown_count`` runs BBHT rounds on the same closed form.
+
+Results are plain values: ``prepare_circuits`` returns a (state prep,
+oracle, diffusion) tuple, ``loading_cost_scan`` returns (rows, prep
+exponent, total exponent), and a ``GroverRun`` holds no echo of its
+inputs. ``cli`` writes every CSV and JSON from them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,21 +66,12 @@ def make_problem(db: ReadWindowDatabase, key: str) -> SearchProblem:
     return SearchProblem(db, layout, int(encode_window(key), 2))
 
 
-@dataclass(frozen=True)
-class PreparedDatabaseCircuit:
-    state_prep: Circuit
-    oracle: Circuit
-    diffusion: Circuit
-
-
 @dataclass
 class GroverRun:
-    iterations: int
     p_exact: float
     histogram: dict[str, int]
     matched_indices: list[int]  # ascending
     top_slot: int  # the most-drawn slot, the lowest on a tie; grover-demo reads it
-    matches: list[dict] = field(default_factory=list)
 
 
 def _data_flip_gates(layout: RegisterLayout, slot: int, code: int,
@@ -157,13 +153,10 @@ def circuit_lengths(problem: SearchProblem) -> tuple[int, int, int]:
     return prep, oracle, 2 * prep + 2 * layout.total + 1
 
 
-def prepare_circuits(problem: SearchProblem) -> PreparedDatabaseCircuit:
+def prepare_circuits(problem: SearchProblem) -> tuple[Circuit, Circuit, Circuit]:
+    """The (state prep, oracle, diffusion) circuits of ``problem``."""
     v = build_state_prep(problem.db)
-    return PreparedDatabaseCircuit(
-        state_prep=v,
-        oracle=build_oracle(problem),
-        diffusion=build_diffusion(v),
-    )
+    return v, build_oracle(problem), build_diffusion(v)
 
 
 def optimal_iterations(num_windows: int, num_solutions: int) -> int:
@@ -229,15 +222,11 @@ def run_search(problem: SearchProblem, iterations: int, shots: int,
     data = np.where(slots < codes.size, codes.take(slots, mode="clip"), pad)
     histogram = {bitstring(j << low | d, layout.total): c
                  for j, d, c in zip(slots.tolist(), data.tolist(), counts.tolist())}
-    matched = np.intersect1d(slots, marked, assume_unique=True).tolist()
     return GroverRun(
-        iterations=iterations,
         p_exact=float(p[marked].sum()),
         histogram=histogram,
-        matched_indices=matched,
+        matched_indices=np.intersect1d(slots, marked, assume_unique=True).tolist(),
         top_slot=int(slots[np.argmax(counts)]),
-        matches=[{"index": i, "window": problem.db.window_string(i)}
-                 for i in matched],
     )
 
 
@@ -284,41 +273,20 @@ def search_unknown_count(problem: SearchProblem, seed: int) -> tuple[int, int] |
     return None
 
 
-@dataclass(frozen=True)
-class LoadingCostRow:
-    genome_length: int
-    prep_gates: int
-    iter_gates: int
-    total_gates: int
-
-
-@dataclass(frozen=True)
-class LoadingCostScan:
-    rows: tuple[LoadingCostRow, ...]
-    prep_exponent: float
-    total_exponent: float
-
-    def to_csv(self) -> str:
-        lines = ["N,prep_gates,iter_gates,total_gates"]
-        for r in self.rows:
-            lines.append(
-                f"{r.genome_length},{r.prep_gates},{r.iter_gates},{r.total_gates}"
-            )
-        return "\n".join(lines) + "\n"
-
-
 _BASES = np.frombuffer(b"ATGC", "S1")  # a draw in 0..3 picks one, as choice does
 
 
-def _loglog_exponent(xs: list[int], ys: list[int]) -> float:
+def _loglog_exponent(xs: tuple[int, ...], ys: tuple[int, ...]) -> float:
     slope, _ = np.polyfit(np.log(np.asarray(xs, float)),
                           np.log(np.asarray(ys, float)), 1)
     return float(slope)
 
 
-def loading_cost_scan(sizes: list[int], window_length: int,
-                      seed: int) -> LoadingCostScan:
-    """Gate-count sweep over random genomes, counted by ``circuit_lengths``.
+def loading_cost_scan(sizes: list[int], window_length: int, seed: int
+                      ) -> tuple[list[tuple[int, int, int, int]], float, float]:
+    """Gate-count sweep over random genomes, counted by ``circuit_lengths``:
+    the ascending (N, prep gates, per-iteration gates, total gates) rows,
+    then the log-log exponents of prep and of total gates in N.
 
     No circuit is built or run. Total cost assumes a unique key: prep +
     optimal-iterations x per-iteration gates, which grows as N^(3/2) while
@@ -339,10 +307,6 @@ def loading_cost_scan(sizes: list[int], window_length: int,
         prep, oracle, diffusion = circuit_lengths(make_problem(db, key))
         per_iter = oracle + diffusion
         k = optimal_iterations(db.count, 1)
-        rows.append(LoadingCostRow(n, prep, per_iter, prep + k * per_iter))
-    sizes_sorted = [r.genome_length for r in rows]
-    return LoadingCostScan(
-        rows=tuple(rows),
-        prep_exponent=_loglog_exponent(sizes_sorted, [r.prep_gates for r in rows]),
-        total_exponent=_loglog_exponent(sizes_sorted, [r.total_gates for r in rows]),
-    )
+        rows.append((n, prep, per_iter, prep + k * per_iter))
+    ns, preps, _, totals = zip(*rows)
+    return rows, _loglog_exponent(ns, preps), _loglog_exponent(ns, totals)

@@ -1,4 +1,9 @@
-"""Runtime-crossover arithmetic for quadratic-speedup search on slow gates."""
+"""Runtime-crossover arithmetic for quadratic-speedup search on slow gates.
+
+``quantum_runtime`` returns (calls, seconds per call) and ``runtime_sweep``
+returns (N, classical seconds, quantum seconds, crossover) rows; ``cli``
+writes the CSV from them.
+"""
 
 from __future__ import annotations
 
@@ -29,30 +34,16 @@ BUILTIN_PROFILES = {p.name: p for p in (SURFACE_10KHZ, OPTIMISTIC_10MHZ)}
 DEFAULT_CLASSICAL_SECONDS = 60.0
 
 
-@dataclass(frozen=True)
-class RuntimeEstimate:
-    problem_size: int
-    calls: int
-    seconds_per_call: float
-
-    @property
-    def seconds_total(self) -> float:
-        return self.calls * self.seconds_per_call
-
-
 def quantum_runtime(problem_size: int, depth_per_call: int,
-                    hw: HardwareProfile) -> RuntimeEstimate:
-    """ceil(sqrt(N)) oracle calls at depth/frequency seconds each."""
+                    hw: HardwareProfile) -> tuple[int, float]:
+    """(calls, seconds per call): ceil(sqrt(N)) oracle calls at
+    depth/frequency seconds each."""
     if problem_size < 1 or depth_per_call < 1:
         raise ValueError("problem size and depth must be >= 1")
     calls = math.isqrt(problem_size)
     if calls * calls < problem_size:
         calls += 1
-    return RuntimeEstimate(
-        problem_size=problem_size,
-        calls=calls,
-        seconds_per_call=depth_per_call / hw.logical_gate_frequency,
-    )
+    return calls, depth_per_call / hw.logical_gate_frequency
 
 
 def max_depth_per_call(problem_size: int, budget_seconds: float,
@@ -60,7 +51,7 @@ def max_depth_per_call(problem_size: int, budget_seconds: float,
     """Deepest per-call circuit keeping total runtime within the budget."""
     if not 0 < budget_seconds < math.inf:
         raise ValueError(f"budget must be positive and finite, got {budget_seconds!r}")
-    calls = quantum_runtime(problem_size, 1, hw).calls
+    calls, _ = quantum_runtime(problem_size, 1, hw)
     depth = budget_seconds / calls * hw.logical_gate_frequency
     if depth == math.inf:
         raise ValueError(f"depth per call overflows: {budget_seconds!r}s "
@@ -108,22 +99,9 @@ def crossover_size(classical: PowerLawModel,
     return 1.0 if q < c else None
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    problem_size: int
-    t_classical: float
-    t_quantum: float
-    crossover_flag: bool
-
-
 def runtime_sweep(sizes: list[int], classical: PowerLawModel,
-                  quantum: PowerLawModel) -> list[SweepRow]:
-    return [
-        SweepRow(
-            problem_size=n,
-            t_classical=classical(n),
-            t_quantum=quantum(n),
-            crossover_flag=quantum(n) <= classical(n),
-        )
-        for n in sorted(sizes)
-    ]
+                  quantum: PowerLawModel) -> list[tuple[int, float, float, bool]]:
+    """The ascending (N, classical seconds, quantum seconds, quantum no
+    slower) rows of the two models over ``sizes``."""
+    return [(n, classical(n), quantum(n), quantum(n) <= classical(n))
+            for n in sorted(sizes)]

@@ -1,7 +1,8 @@
 """Time-to-solution benchmarking: R(t), TTS(t), TTS*, and scaling fits.
 
 Run time t is measured in sweeps (hardware-independent); wall-clock time is
-recorded separately by the solver layer.
+recorded separately by the solver layer. ``scaling_fit`` returns the
+(power-law, exponential) ``FitResult`` pair; ``cli`` writes the CSV.
 """
 
 from __future__ import annotations
@@ -131,12 +132,6 @@ class FitResult:
         return math.exp(self.rate)
 
 
-@dataclass(frozen=True)
-class ScalingFit:
-    power_law: FitResult
-    exponential: FitResult
-
-
 def _least_squares(x: np.ndarray, y: np.ndarray, kind: str) -> FitResult:
     coeffs, cov = np.polyfit(x, y, 1, cov=True)
     slope, intercept = float(coeffs[0]), float(coeffs[1])
@@ -150,8 +145,8 @@ def _least_squares(x: np.ndarray, y: np.ndarray, kind: str) -> FitResult:
     )
 
 
-def scaling_fit(tts_by_size: Mapping[float, float]) -> ScalingFit:
-    """Least-squares power-law and exponential fits on log-transformed data.
+def scaling_fit(tts_by_size: Mapping[float, float]) -> tuple[FitResult, FitResult]:
+    """Least-squares (power-law, exponential) fits on log-transformed data.
 
     Both fits are always reported; no advantage verdict is emitted.
     """
@@ -162,10 +157,8 @@ def scaling_fit(tts_by_size: Mapping[float, float]) -> ScalingFit:
     if np.any(values <= 0):
         raise ValueError("TTS* values must be positive")
     logy = np.log(values)
-    return ScalingFit(
-        power_law=_least_squares(np.log(sizes), logy, "power-law"),
-        exponential=_least_squares(sizes, logy, "exponential"),
-    )
+    return (_least_squares(np.log(sizes), logy, "power-law"),
+            _least_squares(sizes, logy, "exponential"))
 
 
 def wilson_interval(p_hat: float, runs: int, z: float = 1.96) -> tuple[float, float]:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genoq import grover, sim
+from genoq.cli import main
 from genoq.errors import CapacityError, NormalizationError, ShapeError
 from genoq.genome import build_window_db, layout_for
 from genoq.sim import Circuit, Gate, init_state, run_circuit
@@ -187,10 +188,11 @@ def test_optimal_iterations():
 
 
 def test_run_search_toy():
-    run = grover.run_search(toy_problem(), iterations=1, shots=512, seed=3)
+    problem = toy_problem()
+    run = grover.run_search(problem, iterations=1, shots=512, seed=3)
     assert run.p_exact >= 0.999
     assert run.matched_indices == [1]
-    assert run.matches == [{"index": 1, "window": "A"}]
+    assert [problem.db.window_string(i) for i in run.matched_indices] == ["A"]
     assert max(run.histogram, key=run.histogram.get) == "0100"
 
 
@@ -273,12 +275,16 @@ def test_classical_scan_equals_window_compare(case):
         i for i in range(db.count) if db.window_string(i) == key]
 
 
-def test_loading_cost_scan_small():
-    scan = grover.loading_cost_scan([64, 128, 256, 512], 2, seed=7)
-    assert [r.genome_length for r in scan.rows] == [64, 128, 256, 512]
-    assert 0.8 < scan.prep_exponent < 1.2
-    assert 1.3 < scan.total_exponent < 1.7
-    lines = scan.to_csv().splitlines()
+def test_loading_cost_scan_small(capsys):
+    rows, prep_exponent, total_exponent = grover.loading_cost_scan(
+        [64, 128, 256, 512], 2, seed=7)
+    assert [r[0] for r in rows] == [64, 128, 256, 512]
+    assert 0.8 < prep_exponent < 1.2
+    assert 1.3 < total_exponent < 1.7
+    assert main(["loading-scan", "--sizes", "64,128,256,512", "--window", "2",
+                 "--seed", "7", "--no-timestamp"]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if not ln.startswith("#")]
     assert lines[0] == "N,prep_gates,iter_gates,total_gates"
     assert len(lines) == 5
 
@@ -335,9 +341,9 @@ def test_slot_evolution_matches_gate_circuits(case, seed):
     genome, key = case
     problem = grover.make_problem(build_window_db(genome, len(key)), key)
     db, layout = problem.db, problem.layout
-    circuits = grover.prepare_circuits(problem)
+    state_prep, oracle, diffusion = grover.prepare_circuits(problem)
     gates = init_state(layout.total)
-    run_circuit(circuits.state_prep, gates)
+    run_circuit(state_prep, gates)
     codes = db.codes()
     # Slot j holds window j; a padding slot holds window 0 and sets the flag.
     basis = [basis_index(layout, j, int(codes[j if j < db.count else 0]),
@@ -346,8 +352,8 @@ def test_slot_evolution_matches_gate_circuits(case, seed):
     scan = grover.classical_scan(db, key)
     for k in range(5):
         if k:
-            run_circuit(circuits.oracle, gates)
-            run_circuit(circuits.diffusion, gates)
+            run_circuit(oracle, gates)
+            run_circuit(diffusion, gates)
         _, marked, amps = grover.slot_amplitudes(problem, k)
         assert marked.tolist() == scan
         # Embedded in the full register, with zeros off the slot span.

@@ -19,15 +19,15 @@ GENOME = 3 * 10**9
 
 
 def test_call_count_human_genome():
-    est = quantum_runtime(GENOME, 1, SURFACE_10KHZ)
-    assert est.calls == 54773
-    assert 5.4e4 <= est.calls <= 6.0e4
+    calls, _ = quantum_runtime(GENOME, 1, SURFACE_10KHZ)
+    assert calls == 54773
+    assert 5.4e4 <= calls <= 6.0e4
 
 
 def test_call_count_exact_squares():
-    assert quantum_runtime(16, 1, SURFACE_10KHZ).calls == 4
-    assert quantum_runtime(17, 1, SURFACE_10KHZ).calls == 5
-    assert quantum_runtime(1, 1, SURFACE_10KHZ).calls == 1
+    assert quantum_runtime(16, 1, SURFACE_10KHZ)[0] == 4
+    assert quantum_runtime(17, 1, SURFACE_10KHZ)[0] == 5
+    assert quantum_runtime(1, 1, SURFACE_10KHZ)[0] == 1
 
 
 def test_max_depth_surface_budget():
@@ -45,14 +45,16 @@ def test_depth_budget_consistency():
     # The returned depth fits the budget; depth + 1 does not.
     for hw in (SURFACE_10KHZ, OPTIMISTIC_10MHZ):
         depth = max_depth_per_call(GENOME, 60.0, hw)
-        assert quantum_runtime(GENOME, depth, hw).seconds_total <= 60.0 + 1e-9
-        assert quantum_runtime(GENOME, depth + 1, hw).seconds_total > 60.0
+        calls, seconds_per_call = quantum_runtime(GENOME, depth, hw)
+        assert calls * seconds_per_call <= 60.0 + 1e-9
+        calls, seconds_per_call = quantum_runtime(GENOME, depth + 1, hw)
+        assert calls * seconds_per_call > 60.0
 
 
 def test_seconds_per_call_surface():
-    est = quantum_runtime(GENOME, 10, SURFACE_10KHZ)
-    assert est.seconds_per_call == pytest.approx(1e-3)
-    assert est.seconds_total == pytest.approx(54.773)
+    calls, seconds_per_call = quantum_runtime(GENOME, 10, SURFACE_10KHZ)
+    assert seconds_per_call == pytest.approx(1e-3)
+    assert calls * seconds_per_call == pytest.approx(54.773)
 
 
 def test_infeasible_budget():
@@ -138,12 +140,12 @@ def test_runtime_sweep_flags():
     classical = PowerLawModel(1e-9, 1.0)
     quantum = PowerLawModel(1e-3, 0.5)
     rows = runtime_sweep([10**10, 10**12, 10**14], classical, quantum)
-    assert [r.crossover_flag for r in rows] == [False, True, True]
-    for r in rows:
-        assert r.t_classical == pytest.approx(classical(r.problem_size))
-        assert r.t_quantum == pytest.approx(quantum(r.problem_size))
+    assert [crossover for *_, crossover in rows] == [False, True, True]
+    for n, t_classical, t_quantum, _ in rows:
+        assert t_classical == pytest.approx(classical(n))
+        assert t_quantum == pytest.approx(quantum(n))
 
 
 def test_sweep_sorts_sizes():
     rows = runtime_sweep([100, 1, 10], PowerLawModel(1, 1), PowerLawModel(1, 0.5))
-    assert [r.problem_size for r in rows] == [1, 10, 100]
+    assert [r[0] for r in rows] == [1, 10, 100]

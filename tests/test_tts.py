@@ -139,26 +139,26 @@ def test_sa_estimator_rejects_non_whole_sweep_counts(t):
 def test_scaling_fit_recovers_exponential():
     sizes = [10, 14, 18, 22, 26]
     data = {n: 0.5 * 2 ** (0.3 * n) for n in sizes}
-    fit = scaling_fit(data)
-    assert fit.exponential.base == pytest.approx(2**0.3, rel=1e-6)
-    assert fit.exponential.prefactor == pytest.approx(0.5, rel=1e-6)
-    assert max(abs(r) for r in fit.exponential.residuals) < 1e-9
+    _, exponential = scaling_fit(data)
+    assert exponential.base == pytest.approx(2**0.3, rel=1e-6)
+    assert exponential.prefactor == pytest.approx(0.5, rel=1e-6)
+    assert max(abs(r) for r in exponential.residuals) < 1e-9
 
 
 def test_scaling_fit_recovers_power_law():
     sizes = [8, 16, 32, 64]
     data = {n: 3.0 * n**2 for n in sizes}
-    fit = scaling_fit(data)
-    assert fit.power_law.rate == pytest.approx(2.0, rel=1e-6)
-    assert fit.power_law.prefactor == pytest.approx(3.0, rel=1e-6)
+    power_law, _ = scaling_fit(data)
+    assert power_law.rate == pytest.approx(2.0, rel=1e-6)
+    assert power_law.prefactor == pytest.approx(3.0, rel=1e-6)
 
 
 def test_scaling_fit_reports_both_fits():
     data = {8.0: 1.0, 16.0: 4.0, 32.0: 16.0}
-    fit = scaling_fit(data)
-    assert fit.power_law.kind == "power-law"
-    assert fit.exponential.kind == "exponential"
-    assert fit.power_law.rate_stderr >= 0.0
+    power_law, exponential = scaling_fit(data)
+    assert power_law.kind == "power-law"
+    assert exponential.kind == "exponential"
+    assert power_law.rate_stderr >= 0.0
 
 
 def test_scaling_fit_validation():
