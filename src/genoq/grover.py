@@ -15,8 +15,8 @@ the loading-cost scan counts from structure and builds no circuit.
 
 Results are plain values: ``prepare_circuits`` returns a (state prep,
 oracle, diffusion) tuple, ``loading_cost_scan`` returns (rows, prep
-exponent, total exponent), and a ``GroverRun`` holds no echo of its
-inputs. ``cli`` writes every CSV and JSON from them.
+exponent, total exponent), and a ``GroverRun`` holds what the search
+found, not its inputs. ``cli`` writes every CSV and JSON from them.
 """
 
 from __future__ import annotations
