@@ -604,6 +604,19 @@ def test_qubo_solve_brute_golden_output(capsys, monkeypatch, kind):
     assert out == (BRUTE_GOLDEN / f"{kind}.json").read_text()
 
 
+# The same five models through SA at the benchmark's 200 sweeps: best
+# assignment, energy and the whole best-so-far trace, byte for byte.
+@pytest.mark.parametrize("kind", ["assembly-path", "knapsack", "max-cut",
+                                  "phasing", "mis"])
+def test_qubo_solve_sa_golden_output(capsys, monkeypatch, kind):
+    monkeypatch.chdir(BRUTE_GOLDEN)
+    code, out, _ = run_cli(
+        ["qubo-solve", "--model", f"{kind}.qubo", "--solver", "sa",
+         "--sweeps", "200", "--seed", "7", "--no-timestamp"], capsys)
+    assert code == 0
+    assert out == (BRUTE_GOLDEN / f"{kind}.sa.json").read_text()
+
+
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
                 | st.text(max_size=5))
 
