@@ -396,12 +396,13 @@ def cmd_qubo_solve(args) -> int:
         schedule = solvers.AnnealSchedule(
             sweeps=args.sweeps, beta_start=args.beta_start,
             beta_end=args.beta_end)
-        run = solvers.simulated_annealing(model, schedule, args.seed)
+        best, best_e, trace = solvers.simulated_annealing(
+            model, schedule, args.seed)
         payload = {
             "solver": "sa",
-            "best_energy": run.best_energy,
-            "best_assignment": run.best_assignment,
-            "trace": run.trace,
+            "best_energy": best_e,
+            "best_assignment": best,
+            "trace": trace,
             "sweeps": args.sweeps,
         }
     _emit_json(args, payload)
@@ -431,16 +432,16 @@ def cmd_tts_scan(args) -> int:
             estimator = tts.sa_probability_estimator(
                 model, threshold=ground, runs=args.runs, seed=size_seed)
         curve = tts.tts_curve(estimator, t_grid, args.target_p)
-        for p in curve.points:
+        for t, p_hat, r, tts_t in curve:
             rows.append(
-                f"{n},{_fmt(p.t)},{_fmt(p.p_hat)},"
-                f"{p.repetitions if p.repetitions is not None else 'excluded'},"
-                f"{_fmt(p.tts) if p.tts is not None else 'excluded'}"
+                f"{n},{_fmt(t)},{_fmt(p_hat)},"
+                f"{r if r is not None else 'excluded'},"
+                f"{_fmt(tts_t) if tts_t is not None else 'excluded'}"
             )
-        best = tts.optimal_tts(curve)
+        t_star, _, _, tts_opt = tts.optimal_tts(curve)
         boundary = tts.optimum_at_boundary(curve)
-        star_rows.append(f"{n},{_fmt(best.tts)},{_fmt(best.t)},{int(boundary)}")
-        tts_star[float(n)] = best.tts
+        star_rows.append(f"{n},{_fmt(tts_opt)},{_fmt(t_star)},{int(boundary)}")
+        tts_star[float(n)] = tts_opt
     body = "\n".join(rows) + "\n" + "\n".join(star_rows) + "\n"
     if len(tts_star) >= 3:
         power_law, exponential = tts.scaling_fit(tts_star)

@@ -27,7 +27,3 @@ class NormalizationError(RuntimeError):
 
 class InfeasibleBudgetError(ValueError):
     """A runtime budget cannot be met even at circuit depth 1."""
-
-
-class UnboundedRepetitionsError(ValueError):
-    """Estimated success probability is zero; no finite repetition count exists."""

@@ -1,4 +1,9 @@
-"""Classical reference solvers: exhaustive brute force and simulated annealing."""
+"""Classical reference solvers: exhaustive brute force and simulated annealing.
+
+``brute_force`` returns ``(best_energy, optimal_assignments)``;
+``simulated_annealing`` returns ``(best_assignment, best_energy, trace)``;
+``estimate_success_probability`` returns the ``SuccessStats`` of its runs.
+"""
 
 from __future__ import annotations
 
@@ -58,17 +63,9 @@ class AnnealSchedule:
 
 
 @dataclass
-class SolverRun:
-    best_assignment: tuple[int, ...]
-    best_energy: float
-    trace: list[float]  # best-so-far per sweep, non-increasing
-
-
-@dataclass
 class SuccessStats:
     runs: int
     successes: int
-    threshold: float
 
     @property
     def p_hat(self) -> float:
@@ -288,16 +285,19 @@ def _anneal(model: Model, schedule: AnnealSchedule,
     return [(values(best), trace, hit) for best, trace, hit in results]
 
 
-def simulated_annealing(model: Model, schedule: AnnealSchedule,
-                        seed) -> SolverRun:
+def simulated_annealing(model: Model, schedule: AnnealSchedule, seed
+                        ) -> tuple[tuple[int, ...], float, list[float]]:
     """Metropolis single-variable updates with incremental local-field dE.
-    A run never stops early, so it draws its targets and limits in blocks of
-    up to ``BLOCK_ENTRIES``, not per ``SWEEPS_PER_DRAW`` sweeps."""
+    Returns ``(best_assignment, best_energy, trace)``: the best energy is
+    ``energy`` of the best assignment, and the trace holds the best-so-far
+    energy of each sweep, non-increasing. A run never stops early, so it
+    draws its targets and limits in blocks of up to ``BLOCK_ENTRIES``, not
+    per ``SWEEPS_PER_DRAW`` sweeps."""
     [(best, trace, _)] = _anneal(
         model, schedule, np.random.default_rng(seed), 1,
         sweeps_per_draw=max(1, BLOCK_ENTRIES // model.n))
     best = tuple(best)
-    return SolverRun(best, energy(model, best), trace)
+    return best, energy(model, best), trace
 
 
 def estimate_success_probability(model: Model, schedule: AnnealSchedule,
@@ -330,7 +330,7 @@ def estimate_success_probability(model: Model, schedule: AnnealSchedule,
     else:
         successes = sum(hit or energy(model, best) <= stop
                         for best, _, hit in results)
-    return SuccessStats(runs=runs, successes=successes, threshold=threshold)
+    return SuccessStats(runs=runs, successes=successes)
 
 
 def planted_ferromagnet(n: int, density: float,

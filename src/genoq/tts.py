@@ -1,7 +1,10 @@
 """Time-to-solution benchmarking: R(t), TTS(t), TTS*, and scaling fits.
 
 Run time t is measured in sweeps (hardware-independent); wall-clock time is
-recorded separately by the solver layer. ``scaling_fit`` returns the
+recorded separately by the solver layer. ``repetitions_needed`` returns R,
+computed with ``log1p``, or None at p_hat = 0; ``tts_curve`` returns one
+``(t, p_hat, R, TTS)`` row per grid point, R and TTS None where p_hat = 0;
+``optimal_tts`` returns the row of TTS*; ``scaling_fit`` returns the
 (power-law, exponential) ``FitResult`` pair; ``cli`` writes the CSV.
 """
 
@@ -13,47 +16,31 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import UnboundedRepetitionsError
 from .qubo import Model
 from .solvers import AnnealSchedule, estimate_success_probability
 
 
-def repetitions_needed(p_hat: float, p_d: float) -> int:
-    """Repetitions to reach target success p_d given per-run success p_hat."""
+def repetitions_needed(p_hat: float, p_d: float) -> int | None:
+    """Repetitions R = ceil(log(1 - p_d) / log(1 - p_hat)) to reach target
+    success p_d given per-run success p_hat; None at p_hat = 0, where no
+    finite R exists. Both logs are ``log1p``, which keeps R exact where
+    ``log(1 - x)`` would round 1 - x first (p_hat = 0.2, p_d = 0.36 needs
+    R = 2) and finite for p_hat below 2^-53."""
     if not 0 < p_d < 1:
         raise ValueError("target probability must be in (0, 1)")
     if not 0 <= p_hat <= 1:
         raise ValueError("p_hat must be in [0, 1]")
     if p_hat == 0.0:
-        raise UnboundedRepetitionsError("per-run success probability is zero")
+        return None
     if p_hat >= p_d:
         return 1
-    return math.ceil(math.log(1.0 - p_d) / math.log(1.0 - p_hat))
-
-
-@dataclass(frozen=True)
-class TTSPoint:
-    t: float
-    p_hat: float
-    repetitions: int | None
-    tts: float | None  # repetitions * t; None when excluded (p_hat = 0)
-
-    @property
-    def excluded(self) -> bool:
-        return self.tts is None
-
-
-@dataclass(frozen=True)
-class TTSCurve:
-    points: tuple[TTSPoint, ...]
-
-    def valid_points(self) -> list[TTSPoint]:
-        return [p for p in self.points if not p.excluded]
+    return math.ceil(math.log1p(-p_d) / math.log1p(-p_hat))
 
 
 def tts_curve(p_estimator: Callable[[float], float], t_grid: Sequence[float],
-              p_d: float) -> TTSCurve:
-    """Evaluate R and TTS on a t grid; p_hat = 0 points are flagged, not fatal.
+              p_d: float) -> tuple[tuple, ...]:
+    """One ``(t, p_hat, R, TTS)`` row per point of the t grid, TTS = R * t;
+    R and TTS are None where p_hat = 0, which flags the point, not fatal.
 
     ``p_estimator`` maps per-run time t to an estimated success probability;
     inject a closed-form stub for protocol self-tests.
@@ -61,19 +48,19 @@ def tts_curve(p_estimator: Callable[[float], float], t_grid: Sequence[float],
     ts = list(t_grid)
     if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t grid must be non-empty and strictly increasing")
-    points = []
+    rows = []
     for t in ts:
         p_hat = p_estimator(t)
-        try:
-            r = repetitions_needed(p_hat, p_d)
-        except UnboundedRepetitionsError:
-            points.append(TTSPoint(t, p_hat, None, None))
-            continue
-        points.append(TTSPoint(t, p_hat, r, r * t))
-    curve = TTSCurve(tuple(points))
-    if not curve.valid_points():
+        r = repetitions_needed(p_hat, p_d)
+        rows.append((t, p_hat, r, None if r is None else r * t))
+    if not _valid(rows):
         raise ValueError("every grid point was excluded (p_hat = 0 throughout)")
-    return curve
+    return tuple(rows)
+
+
+def _valid(curve: Sequence[tuple]) -> list[tuple]:
+    """The rows of a TTS curve that have a TTS (p_hat > 0), in order."""
+    return [row for row in curve if row[3] is not None]
 
 
 def sa_probability_estimator(model: Model, threshold: float, runs: int,
@@ -102,20 +89,21 @@ def sa_probability_estimator(model: Model, threshold: float, runs: int,
     return estimate
 
 
-def optimal_tts(curve: TTSCurve) -> TTSPoint:
-    """Grid minimum of TTS; ties break toward smaller t."""
-    valid = curve.valid_points()
+def optimal_tts(curve: Sequence[tuple]) -> tuple:
+    """The ``(t, p_hat, R, TTS)`` row of the grid minimum of TTS; ties break
+    toward smaller t."""
+    valid = _valid(curve)
     if not valid:
         raise ValueError("curve has no valid points")
-    return min(valid, key=lambda p: (p.tts, p.t))
+    return min(valid, key=lambda row: (row[3], row[0]))
 
 
-def optimum_at_boundary(curve: TTSCurve) -> bool:
+def optimum_at_boundary(curve: Sequence[tuple]) -> bool:
     """True when the located optimum sits on the t grid edge, i.e. the grid
     fails to bracket t* and the point must be flagged."""
     best = optimal_tts(curve)
-    valid = curve.valid_points()
-    return best.t in (valid[0].t, valid[-1].t)
+    valid = _valid(curve)
+    return best[0] in (valid[0][0], valid[-1][0])
 
 
 @dataclass(frozen=True)

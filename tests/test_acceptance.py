@@ -235,11 +235,11 @@ def test_acceptance_7_sa_tts_protocol():
     tau, p_d = 7.0, 0.9
     curve = tts.tts_curve(lambda t: 1.0 - math.exp(-t / tau),
                           [1.0, 3.0, 9.0, 27.0, 81.0], p_d)
-    for point in curve.points:
-        p = 1.0 - math.exp(-point.t / tau)
+    for t, _, _, tts_t in curve:
+        p = 1.0 - math.exp(-t / tau)
         expected = (1 if p >= p_d
-                    else math.ceil(math.log(1 - p_d) / math.log(1 - p))) * point.t
-        ok &= abs(point.tts - expected) <= math.ulp(expected)
+                    else math.ceil(math.log(1 - p_d) / math.log(1 - p))) * t
+        ok &= abs(tts_t - expected) <= math.ulp(expected)
 
     # Injected scaling exponents recovered within 1%.
     _, exp_fit = tts.scaling_fit({n: 0.5 * 2 ** (0.3 * n) for n in (8, 12, 16, 20, 24)})
@@ -256,7 +256,7 @@ def test_acceptance_7_sa_tts_protocol():
         estimator = tts.sa_probability_estimator(
             model, threshold=ground, runs=30, seed=7000 + n)
         curve = tts.tts_curve(estimator, t_grid, 0.9)
-        ok &= len(curve.valid_points()) >= 1
+        ok &= any(row[3] is not None for row in curve)
         interior |= not tts.optimum_at_boundary(curve)
     ok &= interior
     _report("SA + TTS protocol", ok, t0, budget=600.0)

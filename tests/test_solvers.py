@@ -401,8 +401,8 @@ def test_schedule_accepts_the_extreme_finite_betas():
     schedule = AnnealSchedule(sweeps=3, beta_start=solvers.MIN_BETA,
                               beta_end=1.7e308)
     assert schedule.betas(0, 3)[[0, -1]].tolist() == [solvers.MIN_BETA, 1.7e308]
-    run = simulated_annealing(chain_ferromagnet(4), schedule, seed=1)
-    assert run.best_energy == -3.0
+    _, best_e, _ = simulated_annealing(chain_ferromagnet(4), schedule, seed=1)
+    assert best_e == -3.0
 
 
 def test_schedule_ladders():
@@ -428,23 +428,23 @@ def test_schedule_slices_equal_geomspace(beta_start, beta_end):
 def test_sa_deterministic_per_seed():
     model = chain_ferromagnet(10)
     sched = AnnealSchedule(sweeps=50)
-    r1 = simulated_annealing(model, sched, seed=42)
-    r2 = simulated_annealing(model, sched, seed=42)
-    assert r1.best_assignment == r2.best_assignment
-    assert r1.best_energy == r2.best_energy
-    assert r1.trace == r2.trace
+    best1, e1, trace1 = simulated_annealing(model, sched, seed=42)
+    best2, e2, trace2 = simulated_annealing(model, sched, seed=42)
+    assert best1 == best2
+    assert e1 == e2
+    assert trace1 == trace2
 
 
 def test_sa_trace_non_increasing_and_consistent():
     rng = np.random.default_rng(2)
     model = random_model(rng, 12)
-    run = simulated_annealing(model, AnnealSchedule(sweeps=80), seed=7)
-    assert len(run.trace) == 80
-    assert all(b <= a + 1e-12 for a, b in zip(run.trace, run.trace[1:]))
+    best, best_e, trace = simulated_annealing(
+        model, AnnealSchedule(sweeps=80), seed=7)
+    assert len(trace) == 80
+    assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
     # The reported best energy is the exact energy of the reported assignment.
-    assert run.best_energy == pytest.approx(
-        energy(model, run.best_assignment), abs=1e-9)
-    assert run.trace[-1] == pytest.approx(run.best_energy, abs=1e-9)
+    assert best_e == pytest.approx(energy(model, best), abs=1e-9)
+    assert trace[-1] == pytest.approx(best_e, abs=1e-9)
 
 
 @pytest.mark.parametrize("sweeps", [1, 7, 8, 9, 17, 1638, 1639])
@@ -456,8 +456,8 @@ def test_sa_trace_has_one_entry_per_sweep_across_draw_blocks(cls, sweeps):
     # every sweep.
     model = random_model(np.random.default_rng(4), 10, cls)
     schedule = AnnealSchedule(sweeps=sweeps)
-    run = simulated_annealing(model, schedule, seed=3)
-    traces = [run.trace] + [t for _, t, _ in full_runs(model, schedule, 2, 3)]
+    _, _, trace = simulated_annealing(model, schedule, seed=3)
+    traces = [trace] + [t for _, t, _ in full_runs(model, schedule, 2, 3)]
     for trace in traces:
         assert len(trace) == sweeps
         assert all(b <= a for a, b in zip(trace, trace[1:]))
@@ -467,25 +467,27 @@ def test_sa_finds_chain_ground_state():
     model = chain_ferromagnet(12)
     hits = 0
     for seed in range(100):
-        run = simulated_annealing(model, AnnealSchedule(sweeps=200), seed=seed)
-        if run.best_energy <= -11.0 + 1e-9:
+        _, best_e, _ = simulated_annealing(
+            model, AnnealSchedule(sweeps=200), seed=seed)
+        if best_e <= -11.0 + 1e-9:
             hits += 1
     assert hits >= 99
 
 
 def test_sa_binary_model():
     model = BinaryModel(4, (1.0, 1.0, -3.0, -3.0), {(2, 3): 1.0})
-    run = simulated_annealing(model, AnnealSchedule(sweeps=100), seed=1)
-    assert set(run.best_assignment) <= {0, 1}
-    assert run.best_energy == pytest.approx(-5.0)
+    best, best_e, _ = simulated_annealing(
+        model, AnnealSchedule(sweeps=100), seed=1)
+    assert set(best) <= {0, 1}
+    assert best_e == pytest.approx(-5.0)
 
 
 def test_sa_degenerate_single_sweep():
     model = chain_ferromagnet(4)
-    run = simulated_annealing(model, AnnealSchedule(sweeps=1), seed=3)
-    assert len(run.trace) == 1
-    assert run.best_energy == pytest.approx(
-        energy(model, run.best_assignment), abs=1e-12)
+    best, best_e, trace = simulated_annealing(
+        model, AnnealSchedule(sweeps=1), seed=3)
+    assert len(trace) == 1
+    assert best_e == pytest.approx(energy(model, best), abs=1e-12)
 
 
 # Per class, (sweeps, model seed, seed, assignment, best energy, trace). The
@@ -518,10 +520,8 @@ SA_GOLDEN = {
 def test_sa_golden_outputs(cls):
     for sweeps, model_seed, seed, assignment, best_e, trace in SA_GOLDEN[cls]:
         model = random_model(np.random.default_rng(model_seed), 9, cls)
-        run = simulated_annealing(model, AnnealSchedule(sweeps), seed=seed)
-        assert run.best_assignment == assignment
-        assert run.best_energy == best_e
-        assert run.trace == trace
+        assert simulated_annealing(model, AnnealSchedule(sweeps),
+                                   seed=seed) == (assignment, best_e, trace)
 
 
 # simulated_annealing runs, of seeds 0..399, that reach the ground of
@@ -539,8 +539,8 @@ def test_sa_hit_rates_match_per_block_draw_kernel(cls, sweeps):
     runs = 400
     model = random_model(np.random.default_rng(1), 12, cls)
     ground, _ = brute_force(model)
-    hits = sum(simulated_annealing(model, AnnealSchedule(sweeps), seed)
-               .best_energy <= ground + 1e-9 for seed in range(runs))
+    hits = sum(simulated_annealing(model, AnnealSchedule(sweeps), seed)[1]
+               <= ground + 1e-9 for seed in range(runs))
     low, high = wilson_interval(hits / runs, runs)
     ref_low, ref_high = wilson_interval(
         SA_SINGLE_RUN_HITS[(cls, sweeps)] / runs, runs)
@@ -578,9 +578,9 @@ def test_anneal_single_run_equals_simulated_annealing(cls, sweeps):
         [(best, trace, hit)] = solvers._anneal(
             model, schedule, np.random.default_rng(model_seed), 1,
             sweeps_per_draw=solvers.BLOCK_ENTRIES // 9)
-        run = simulated_annealing(model, schedule, seed=model_seed)
-        assert (tuple(best), trace, hit) == (run.best_assignment, run.trace,
-                                             False)
+        sa_best, _, sa_trace = simulated_annealing(model, schedule,
+                                                   seed=model_seed)
+        assert (tuple(best), trace, hit) == (sa_best, sa_trace, False)
         if sweeps <= solvers.SWEEPS_PER_DRAW:
             assert full_runs(model, schedule, 1, seed=model_seed) == [
                 (best, trace, hit)]
@@ -725,8 +725,8 @@ def test_success_probability_stops_runs_at_first_hit(monkeypatch):
     assert stats.successes == 16
     assert len(lengths) == 16
     assert all(hit and n < 128 for n, hit in lengths)
-    run = simulated_annealing(model, AnnealSchedule(sweeps=128), seed=2)
-    assert len(run.trace) == 128
+    _, _, trace = simulated_annealing(model, AnnealSchedule(sweeps=128), seed=2)
+    assert len(trace) == 128
 
 
 # Successes in 4000 runs at seed 7 on planted_ferromagnet(n, 0.5, 100 + n),

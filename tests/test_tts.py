@@ -1,13 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from genoq.errors import UnboundedRepetitionsError
 from genoq.solvers import brute_force, planted_ferromagnet
 from genoq.tts import (
-    TTSCurve,
-    TTSPoint,
     optimal_tts,
     optimum_at_boundary,
     repetitions_needed,
@@ -32,8 +30,7 @@ def test_repetitions_examples():
 
 
 def test_repetitions_validation():
-    with pytest.raises(UnboundedRepetitionsError):
-        repetitions_needed(0.0, 0.9)
+    assert repetitions_needed(0.0, 0.9) is None
     with pytest.raises(ValueError):
         repetitions_needed(0.5, 0.0)
     with pytest.raises(ValueError):
@@ -42,16 +39,39 @@ def test_repetitions_validation():
         repetitions_needed(-0.1, 0.9)
 
 
+def test_repetitions_needed_is_the_exact_smallest_count():
+    # R is the smallest integer with (1 - p_hat)^R <= 1 - p_d, taken in exact
+    # rational arithmetic on the two floats, for every p_hat = k / runs of an
+    # estimator with 2..64 runs. log(1 - x) rounds 1 - x first and misses two
+    # of these pairs (18 (k, runs, p_d) cases): p_hat = 0.2, p_d = 0.36 gave
+    # 3, though 0.8^2 = 0.64, and p_hat = 0.3, p_d = 0.51 gave 2, one short.
+    targets = [k / 100 for k in range(1, 100)] + [0.999, 0.99999]
+    p_hats = sorted({k / runs for runs in range(2, 65)
+                     for k in range(1, runs + 1)})
+    for p_d in targets:
+        miss = 1 - Fraction(p_d)
+        for p_hat in p_hats:
+            r = repetitions_needed(p_hat, p_d)
+            q = 1 - Fraction(p_hat)
+            fails = q ** (r - 1)
+            assert fails * q <= miss < fails, (p_hat, p_d, r)
+    assert repetitions_needed(0.2, 0.36) == 2
+    # Below 2^-53, 1 - p_hat rounds to 1 and log(1 - p_hat) to zero.
+    r = repetitions_needed(1e-20, 0.9)
+    assert isinstance(r, int)
+    assert r == pytest.approx(-math.log(0.1) / 1e-20, rel=1e-12)
+
+
 def test_tts_curve_matches_closed_form():
     tau = 10.0
     p_d = 0.9
     curve = tts_curve(stub_estimator(tau), [1.0, 5.0, 20.0, 100.0], p_d)
-    for point in curve.points:
-        p = 1.0 - math.exp(-point.t / tau)
+    for t, p_hat, repetitions, tts in curve:
+        p = 1.0 - math.exp(-t / tau)
         r = 1 if p >= p_d else math.ceil(math.log(1 - p_d) / math.log(1 - p))
-        assert point.p_hat == p  # exact, no extra arithmetic
-        assert point.repetitions == r
-        assert point.tts == r * point.t
+        assert p_hat == p  # exact, no extra arithmetic
+        assert repetitions == r
+        assert tts == r * t
 
 
 def test_tts_curve_grid_validation():
@@ -65,10 +85,10 @@ def test_tts_curve_grid_validation():
 
 def test_tts_curve_flags_zero_probability_points():
     curve = tts_curve(lambda t: 0.0 if t < 2 else 0.5, [1.0, 3.0, 5.0], 0.9)
-    assert curve.points[0].excluded
-    assert curve.points[0].repetitions is None
-    assert not curve.points[1].excluded
-    assert len(curve.valid_points()) == 2
+    assert curve[0][3] is None
+    assert curve[0][2] is None
+    assert curve[1][3] is not None
+    assert len([row for row in curve if row[3] is not None]) == 2
 
 
 def test_tts_curve_all_excluded_raises():
@@ -82,23 +102,23 @@ def test_optimal_tts_interior_minimum():
     curve = tts_curve(lambda t: 1.0 - math.exp(-((t / 10.0) ** 2)),
                       list(np.arange(1.0, 101.0)), 0.9)
     best = optimal_tts(curve)
-    assert curve.points[0].t < best.t < curve.points[-1].t
+    assert curve[0][0] < best[0] < curve[-1][0]
     assert not optimum_at_boundary(curve)
-    assert best.tts == min(p.tts for p in curve.valid_points())
+    assert best[3] == min(row[3] for row in curve if row[3] is not None)
 
 
 def test_optimal_tts_tie_breaks_to_smaller_t():
-    points = (
-        TTSPoint(1.0, 0.5, 4, 4.0),
-        TTSPoint(2.0, 0.9, 2, 4.0),
-        TTSPoint(3.0, 0.9, 2, 6.0),
+    curve = (
+        (1.0, 0.5, 4, 4.0),
+        (2.0, 0.9, 2, 4.0),
+        (3.0, 0.9, 2, 6.0),
     )
-    best = optimal_tts(TTSCurve(points))
-    assert best.t == 1.0
+    best = optimal_tts(curve)
+    assert best[0] == 1.0
 
 
 def test_optimal_tts_without_valid_points_raises():
-    curve = TTSCurve((TTSPoint(1.0, 0.0, None, None),))
+    curve = ((1.0, 0.0, None, None),)
     with pytest.raises(ValueError, match="no valid points"):
         optimal_tts(curve)
 
@@ -107,7 +127,7 @@ def test_boundary_flag():
     # Grid entirely on the rising side of the TTS curve.
     curve = tts_curve(stub_estimator(1.0), [50.0, 60.0, 70.0], 0.9)
     assert optimum_at_boundary(curve)
-    assert optimal_tts(curve).t == 50.0
+    assert optimal_tts(curve)[0] == 50.0
 
 
 def test_sa_estimator_protocol_end_to_end():
@@ -115,9 +135,9 @@ def test_sa_estimator_protocol_end_to_end():
     ground, _ = brute_force(model)
     estimator = sa_probability_estimator(model, ground, runs=25, seed=100)
     curve = tts_curve(estimator, [2.0, 20.0, 120.0], 0.9)
-    assert all(0.0 <= p.p_hat <= 1.0 for p in curve.points)
+    assert all(0.0 <= p_hat <= 1.0 for _, p_hat, _, _ in curve)
     best = optimal_tts(curve)
-    assert best.tts > 0
+    assert best[3] > 0
 
 
 def test_sa_estimator_deterministic():
