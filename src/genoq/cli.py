@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 
 from . import __version__, grover, qubo, runtime, solvers, tts
-from .errors import CapacityError, ParseError, SequenceParseError
+from .errors import CapacityError, ParseError
 from .genome import build_window_db, parse_sequence, upper_bases
 
 EXIT_OK = 0
@@ -259,7 +259,7 @@ def cmd_grover_demo(args) -> int:
 def _parse_key(text: str) -> str:
     """The --key bases, uppercased; rejected like a bad genome base."""
     if not text:
-        raise SequenceParseError("empty --key", 0)
+        raise ParseError("empty --key")
     return upper_bases(text, " of --key")
 
 
@@ -444,12 +444,12 @@ def cmd_tts_scan(args) -> int:
         tts_star[float(n)] = tts_opt
     body = "\n".join(rows) + "\n" + "\n".join(star_rows) + "\n"
     if len(tts_star) >= 3:
-        power_law, exponential = tts.scaling_fit(tts_star)
+        (exponent, exponent_err), (log_base, log_base_err) = tts.scaling_fit(tts_star)
         body += (
-            f"# power_law_exponent={_fmt(power_law.rate)}\n"
-            f"# power_law_stderr={_fmt(power_law.rate_stderr)}\n"
-            f"# exponential_base={_fmt(exponential.base)}\n"
-            f"# exponential_stderr={_fmt(exponential.rate_stderr)}\n"
+            f"# power_law_exponent={_fmt(exponent)}\n"
+            f"# power_law_stderr={_fmt(exponent_err)}\n"
+            f"# exponential_base={_fmt(math.exp(log_base))}\n"
+            f"# exponential_stderr={_fmt(log_base_err)}\n"
         )
     _emit_csv(args, body)
     return EXIT_OK

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, SequenceParseError
+from .errors import CapacityError, ParseError
 
 BASE_BITS = {"A": "00", "T": "01", "G": "10", "C": "11"}
 _NOT_A_BASE = re.compile("[^ACGTacgt]")
@@ -19,14 +19,13 @@ def encode_window(window: str) -> str:
 
 
 def upper_bases(text: str, where: str = "") -> str:
-    """``text`` uppercased; SequenceParseError at its first character outside
+    """``text`` uppercased; ParseError at its first character outside
     ``ACGTacgt``, naming it and its 1-based position (then ``where``). Only
     these eight characters uppercase into ``BASE_BITS``'s keys."""
     bad = _NOT_A_BASE.search(text)
     if bad:
         pos = bad.start() + 1
-        raise SequenceParseError(
-            f"invalid base {bad.group()!r} at position {pos}{where}", pos)
+        raise ParseError(f"invalid base {bad.group()!r} at position {pos}{where}")
     return text.upper()
 
 
@@ -34,14 +33,14 @@ def parse_sequence(text: str) -> str:
     """Parse plain or FASTA-style text into an uppercase A/T/G/C string.
 
     Header lines (starting '>') and whitespace are skipped. Any other
-    character raises SequenceParseError naming its 1-based position within
+    character raises ParseError naming its 1-based position within
     the sequence payload (headers and whitespace excluded from positions).
     ``str.split()`` splits on exactly the characters ``str.isspace`` accepts.
     """
     payload = [line for line in text.splitlines() if not line.startswith(">")]
     seq = upper_bases("".join("".join(payload).split()))
     if not seq:
-        raise SequenceParseError("empty sequence", 0)
+        raise ParseError("empty sequence")
     return seq
 
 

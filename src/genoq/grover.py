@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim
-from .errors import CapacityError, ShapeError
+from .errors import CapacityError
 from .genome import (
     ReadWindowDatabase,
     RegisterLayout,
@@ -58,7 +58,7 @@ def _check_slots(windows: int) -> None:
 
 def make_problem(db: ReadWindowDatabase, key: str) -> SearchProblem:
     if len(key) != db.window_length:
-        raise ShapeError(
+        raise ValueError(
             f"key length {len(key)} != window length {db.window_length}"
         )
     _check_slots(db.count)

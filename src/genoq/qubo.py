@@ -16,7 +16,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ParseError, ShapeError
+from .errors import CapacityError, ParseError
 
 ASSEMBLY_NODE_CAP = 6  # keeps n^2-variable models brute-force verifiable
 # Largest model read or encoded, checked before anything of its size is
@@ -52,7 +52,7 @@ class Model:
         if self.n < 1:
             raise ValueError("model needs at least one variable")
         if len(self.h) != self.n:
-            raise ShapeError(f"h has {len(self.h)} entries for {self.n} variables")
+            raise ValueError(f"h has {len(self.h)} entries for {self.n} variables")
         for (i, j) in self.J:
             if not (0 <= i < j < self.n):
                 raise ValueError(f"coupling key {(i, j)} must satisfy 0 <= i < j < n")
@@ -87,20 +87,17 @@ class Model:
     @cached_property
     def rises(self) -> list[list[tuple[int, float]]]:
         """``rises[i]`` holds (j, w_ij * |step|) for each neighbour j of i,
-        the add to field j when x_i steps up; a variable's step is the change
-        its flip makes, +-2 for a spin and +-1 for a bit."""
-        # Scaling by a power of two is exact: each add is bit for bit w * step.
+        added to field j when x_i steps up and subtracted when it steps down;
+        a variable's step is the change its flip makes, +-2 for a spin and
+        +-1 for a bit."""
+        # Scaling by a power of two is exact, and IEEE 754 defines x - y as
+        # x + (-y): each update is bit for bit the add of w * step.
         size = 2 if self.spin else 1
         rises = [[] for _ in range(self.n)]
         for (i, j), w in self.J.items():
             rises[i].append((j, w * size))
             rises[j].append((i, w * size))
         return rises
-
-    @cached_property
-    def falls(self) -> list[list[tuple[int, float]]]:
-        """``rises`` negated: the adds when x_i steps down."""
-        return [[(j, -up) for j, up in rise] for rise in self.rises]
 
 
 class IsingModel(Model):
@@ -113,12 +110,12 @@ class BinaryModel(Model):
 
 def energy(model: Model, assignment: Sequence[int]) -> float:
     if len(assignment) != model.n:
-        raise ShapeError(
+        raise ValueError(
             f"assignment has {len(assignment)} values for {model.n} variables"
         )
     allowed = {-1, 1} if model.spin else {0, 1}
     if not set(assignment) <= allowed:
-        raise ShapeError(f"assignment values must be in {sorted(allowed)}")
+        raise ValueError(f"assignment values must be in {sorted(allowed)}")
     e = model.offset
     for i, hi in enumerate(model.h):
         e += hi * assignment[i]
@@ -156,7 +153,7 @@ class KnapsackInstance:
 
     def __post_init__(self):
         if len(self.values) != len(self.weights):
-            raise ShapeError("values and weights must have equal length")
+            raise ValueError("values and weights must have equal length")
         if any(not isinstance(w, int) or w <= 0 for w in self.weights):
             raise ValueError("weights must be positive integers (pre-scale reals)")
         if any(not isinstance(v, int) or v <= 0 for v in self.values):

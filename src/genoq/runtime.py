@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InfeasibleBudgetError
-
 
 @dataclass(frozen=True)
 class HardwareProfile:
@@ -58,7 +56,7 @@ def max_depth_per_call(problem_size: int, budget_seconds: float,
                          f"at {hw.logical_gate_frequency!r} Hz")
     depth = math.floor(depth)
     if depth < 1:
-        raise InfeasibleBudgetError(
+        raise ValueError(
             f"budget {budget_seconds}s cannot be met even at depth 1 "
             f"({calls} calls at {hw.logical_gate_frequency} Hz)"
         )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, NormalizationError, ShapeError
+from .errors import CapacityError, NormalizationError
 
 MAX_QUBITS = 26  # dense double-precision statevector ~ 1 GB at this size
 # Most slots a closed-form Grover search holds. Measured at 2^22 (numpy 2.4,
@@ -117,11 +117,11 @@ def init_state(num_qubits: int) -> np.ndarray:
 
 
 def _qubits(state: np.ndarray) -> int:
-    """n for a 1-D array of 2^n amplitudes; ShapeError for any other shape,
+    """n for a 1-D array of 2^n amplitudes; ValueError for any other shape,
     which may reshape to a copy, so that a gate would update the copy."""
     n = state.size.bit_length() - 1
     if state.shape != (1 << max(n, 0),):
-        raise ShapeError(f"a state is 2^n amplitudes on one axis, not {state.shape}")
+        raise ValueError(f"a state is 2^n amplitudes on one axis, not {state.shape}")
     return n
 
 
@@ -173,7 +173,7 @@ def check_norm(amplitudes: np.ndarray, where: str) -> None:
 def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     n = _qubits(state)
     if circuit.num_qubits != n:
-        raise ShapeError(f"circuit has {circuit.num_qubits} qubits, state has {n}")
+        raise ValueError(f"circuit has {circuit.num_qubits} qubits, state has {n}")
     for g in circuit.gates:
         apply_gate(state, g)
     return state

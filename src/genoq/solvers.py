@@ -213,14 +213,15 @@ def _anneal(model: Model, schedule: AnnealSchedule,
     compare, dE < limit, makes that decision bit for bit.
 
     A run keeps each variable's step, not its value, and negates it on a
-    flip. Start fields and energies are summed in ``J`` order, as
-    term-by-term Python sums would be. Returns, per run, the best
-    assignment, the best-so-far energy per sweep run, and whether the run
-    stopped early: given a ``stop``, it does at the first new best at or
-    below ``stop`` (by ``energy``, unless the model is ``exact``), as no
-    later draw can undo that hit. A start state that meets the same rule
-    is a hit before the first sweep, with an empty trace."""
-    exact, rises, falls = model.exact, model.rises, model.falls
+    flip, which adds the variable's ``rises`` to its neighbours' fields on
+    an up-step and subtracts them on a down-step. Start fields and energies
+    are summed in ``J`` order, as term-by-term Python sums would be.
+    Returns, per run, the best assignment, the best-so-far energy per sweep
+    run, and whether the run stopped early: given a ``stop``, it does at the
+    first new best at or below ``stop`` (by ``energy``, unless the model is
+    ``exact``), as no later draw can undo that hit. A start state that meets
+    the same rule is a hit before the first sweep, with an empty trace."""
+    exact, rises = model.exact, model.rises
     n = model.n
     spin = model.spin
     bits = rng.integers(0, 2, size=(runs, n))
@@ -269,8 +270,12 @@ def _anneal(model: Model, schedule: AnnealSchedule,
                     if delta < limit:
                         d[t] = -step
                         e += delta
-                        for j, df in (rises if step > 0 else falls)[t]:
-                            f[j] += df
+                        if step > 0:
+                            for j, df in rises[t]:
+                                f[j] += df
+                        else:
+                            for j, df in rises[t]:
+                                f[j] -= df
                         if e < best_e:
                             best_e, best = e, d[:]
                             if meets_stop(e, best):

@@ -1,17 +1,16 @@
 """Time-to-solution benchmarking: R(t), TTS(t), TTS*, and scaling fits.
 
-Run time t is measured in sweeps (hardware-independent); wall-clock time is
-recorded separately by the solver layer. ``repetitions_needed`` returns R,
-computed with ``log1p``, or None at p_hat = 0; ``tts_curve`` returns one
-``(t, p_hat, R, TTS)`` row per grid point, R and TTS None where p_hat = 0;
-``optimal_tts`` returns the row of TTS*; ``scaling_fit`` returns the
-(power-law, exponential) ``FitResult`` pair; ``cli`` writes the CSV.
+Run time t is counted in sweeps, not seconds, so TTS is hardware-independent.
+``repetitions_needed`` returns R, computed with ``log1p``, or None at
+p_hat = 0; ``tts_curve`` returns one ``(t, p_hat, R, TTS)`` row per grid
+point, R and TTS None where p_hat = 0; ``optimal_tts`` returns the row of
+TTS*; ``scaling_fit`` returns ``((exponent, stderr), (log_base, stderr))``;
+``cli`` writes the CSV.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -106,37 +105,19 @@ def optimum_at_boundary(curve: Sequence[tuple]) -> bool:
     return best[0] in (valid[0][0], valid[-1][0])
 
 
-@dataclass(frozen=True)
-class FitResult:
-    kind: str  # "power-law" or "exponential"
-    prefactor: float
-    rate: float  # exponent (power-law) or per-size log-base (exponential)
-    rate_stderr: float
-    residuals: tuple[float, ...]
-
-    @property
-    def base(self) -> float:
-        """Growth base per unit size; meaningful for the exponential fit."""
-        return math.exp(self.rate)
-
-
-def _least_squares(x: np.ndarray, y: np.ndarray, kind: str) -> FitResult:
+def _least_squares(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """The slope of the least-squares line through (x, y), and its stderr."""
     coeffs, cov = np.polyfit(x, y, 1, cov=True)
-    slope, intercept = float(coeffs[0]), float(coeffs[1])
-    resid = y - (slope * x + intercept)
-    return FitResult(
-        kind=kind,
-        prefactor=math.exp(intercept),
-        rate=slope,
-        rate_stderr=float(np.sqrt(cov[0, 0])),
-        residuals=tuple(float(r) for r in resid),
-    )
+    return float(coeffs[0]), float(np.sqrt(cov[0, 0]))
 
 
-def scaling_fit(tts_by_size: Mapping[float, float]) -> tuple[FitResult, FitResult]:
-    """Least-squares (power-law, exponential) fits on log-transformed data.
-
-    Both fits are always reported; no advantage verdict is emitted.
+def scaling_fit(tts_by_size: Mapping[float, float]
+                ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Least-squares fits of log TTS* against log size (power law) and size
+    (exponential): ``((exponent, stderr), (log_base, stderr))``, each slope
+    with its stderr. The exponential fit grows by ``math.exp(log_base)`` per
+    unit size. Both fits are always reported; no advantage verdict is
+    emitted.
     """
     if len(tts_by_size) < 3:
         raise ValueError("need at least 3 sizes for a scaling fit")
@@ -145,8 +126,7 @@ def scaling_fit(tts_by_size: Mapping[float, float]) -> tuple[FitResult, FitResul
     if np.any(values <= 0):
         raise ValueError("TTS* values must be positive")
     logy = np.log(values)
-    return (_least_squares(np.log(sizes), logy, "power-law"),
-            _least_squares(sizes, logy, "exponential"))
+    return _least_squares(np.log(sizes), logy), _least_squares(sizes, logy)
 
 
 def wilson_interval(p_hat: float, runs: int, z: float = 1.96) -> tuple[float, float]:

@@ -242,10 +242,11 @@ def test_acceptance_7_sa_tts_protocol():
         ok &= abs(tts_t - expected) <= math.ulp(expected)
 
     # Injected scaling exponents recovered within 1%.
-    _, exp_fit = tts.scaling_fit({n: 0.5 * 2 ** (0.3 * n) for n in (8, 12, 16, 20, 24)})
-    pow_fit, _ = tts.scaling_fit({n: 3.0 * n**2.0 for n in (8, 12, 16, 20, 24)})
-    ok &= abs(exp_fit.base - 2**0.3) / 2**0.3 < 0.01
-    ok &= abs(pow_fit.rate - 2.0) / 2.0 < 0.01
+    sizes = (8, 12, 16, 20, 24)
+    _, (log_base, _) = tts.scaling_fit({n: 0.5 * 2 ** (0.3 * n) for n in sizes})
+    (exponent, _), _ = tts.scaling_fit({n: 3.0 * n**2.0 for n in sizes})
+    ok &= abs(math.exp(log_base) - 2**0.3) / 2**0.3 < 0.01
+    ok &= abs(exponent - 2.0) / 2.0 < 0.01
 
     # Planted ferromagnets: full SA protocol, interior optimum at >= 1 size.
     interior = False

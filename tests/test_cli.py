@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -1039,7 +1040,10 @@ def test_tts_scan_prepares_each_model_once(capsys, monkeypatch):
     assert len(models) == 3
     assert len(estimates) == 15
     assert all(m is models[k // 5] for k, m in enumerate(estimates))
-    assert all("rises" in vars(m) and "falls" in vars(m) for m in models)
+    # Each model caches its neighbour lists once, as ``rises`` alone.
+    fields = {f.name for f in dataclasses.fields(models[0])}
+    assert all(vars(m).keys() - fields == {"arrays", "scale", "exact", "rises"}
+               for m in models)
 
 
 def test_tts_scan_gives_every_model_and_estimate_its_own_seed(capsys, monkeypatch):

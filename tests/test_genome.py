@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from genoq.errors import CapacityError, SequenceParseError
+from genoq.errors import CapacityError, ParseError
 from genoq.genome import (
     BASE_BITS,
     build_window_db,
@@ -31,9 +31,8 @@ def test_parse_case_folding():
 
 
 def test_parse_rejects_ambiguity_codes():
-    with pytest.raises(SequenceParseError) as exc:
+    with pytest.raises(ParseError, match="invalid base 'N' at position 3"):
         parse_sequence("ATN")
-    assert exc.value.position == 3
 
 
 def test_parse_multiline_whitespace():
@@ -41,7 +40,7 @@ def test_parse_multiline_whitespace():
 
 
 def test_parse_empty():
-    with pytest.raises(SequenceParseError):
+    with pytest.raises(ParseError, match="empty sequence"):
         parse_sequence(">only header\n")
 
 
@@ -61,8 +60,8 @@ def test_whitespace_and_case_folding_over_all_code_points():
 
 
 def reference_parse(text):
-    """The per-character reader: ``(sequence, None)``, or ``(None, (message,
-    position))`` for the SequenceParseError it raises."""
+    """The per-character reader: ``(sequence, None)``, or ``(None, message)``
+    for the ParseError it raises, which names the 1-based position."""
     bases = []
     pos = 0
     for line in text.splitlines():
@@ -74,10 +73,10 @@ def reference_parse(text):
             pos += 1
             up = ch.upper()
             if up not in BASE_BITS:
-                return None, (f"invalid base {ch!r} at position {pos}", pos)
+                return None, f"invalid base {ch!r} at position {pos}"
             bases.append(up)
     seq = "".join(bases)
-    return (seq, None) if seq else (None, ("empty sequence", 0))
+    return (seq, None) if seq else (None, "empty sequence")
 
 
 # Bases, every whitespace character (the line breaks among them end header
@@ -100,9 +99,9 @@ def test_parse_equals_per_character_reference(text):
     if error is None:
         assert parse_sequence(text) == seq
     else:
-        with pytest.raises(SequenceParseError) as exc:
+        with pytest.raises(ParseError) as exc:
             parse_sequence(text)
-        assert (str(exc.value), exc.value.position) == error
+        assert str(exc.value) == error
 
 
 def test_window_db_toy():

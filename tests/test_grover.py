@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from genoq import grover, sim
 from genoq.cli import main
-from genoq.errors import CapacityError, NormalizationError, ShapeError
+from genoq.errors import CapacityError, NormalizationError
 from genoq.genome import build_window_db, layout_for
 from genoq.sim import Circuit, Gate, init_state, run_circuit
 
@@ -124,7 +124,7 @@ def test_oracle_key_absent_is_identity_on_prepared_state():
 
 def test_oracle_key_shape_error():
     db = build_window_db("TATG", 2)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="key length 1 != window length 2"):
         grover.make_problem(db, "A")
 
 

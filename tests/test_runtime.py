@@ -1,8 +1,8 @@
 import math
+import re
 
 import pytest
 
-from genoq.errors import InfeasibleBudgetError
 from genoq.runtime import (
     BUILTIN_PROFILES,
     OPTIMISTIC_10MHZ,
@@ -58,7 +58,9 @@ def test_seconds_per_call_surface():
 
 
 def test_infeasible_budget():
-    with pytest.raises(InfeasibleBudgetError):
+    with pytest.raises(ValueError, match=re.escape(
+            "budget 1e-06s cannot be met even at depth 1 "
+            "(54773 calls at 10000.0 Hz)")):
         max_depth_per_call(GENOME, 1e-6, SURFACE_10KHZ)
 
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import Counter
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from genoq.errors import CapacityError, NormalizationError, ShapeError
+from genoq.errors import CapacityError, NormalizationError
 from genoq.sim import (
     GATE_KINDS,
     Circuit,
@@ -140,10 +141,10 @@ def test_run_circuit_empty_is_identity():
 
 
 def test_run_circuit_shape_error():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="circuit has 3 qubits, state has 2"):
         run_circuit(Circuit(3), init_state(2))
     state = init_state(2)
-    with pytest.raises(ShapeError, match="circuit has 1 qubits, state has 2"):
+    with pytest.raises(ValueError, match="circuit has 1 qubits, state has 2"):
         run_circuit(Circuit(1, (Gate("H", 0),)), state)
     assert state[0] == 1.0
 
@@ -401,7 +402,8 @@ def test_gate_on_amplitudes_of_another_shape_raises():
     # A 2-D transpose would reshape to a copy, leaving the state unchanged.
     grid = np.zeros((2, 2), dtype=np.complex128)
     grid[0, 0] = 1.0
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match=re.escape(
+            "a state is 2^n amplitudes on one axis, not (2, 2)")):
         apply_gate(grid.T, Gate("X", 0))
 
 
@@ -412,9 +414,10 @@ def test_gate_on_amplitudes_of_another_shape_raises():
 ], ids=["2-d", "length-3", "empty"])
 def test_states_of_other_shapes_raise(state):
     before = state.copy()
-    with pytest.raises(ShapeError):
+    message = re.escape(f"a state is 2^n amplitudes on one axis, not {state.shape}")
+    with pytest.raises(ValueError, match=message):
         apply_gate(state, Gate("X", 0))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match=message):
         run_circuit(Circuit(1, (Gate("X", 0),)), state)
     assert np.array_equal(state, before)
 

@@ -213,9 +213,8 @@ def test_brute_force_never_builds_neighbour_lists():
     # SA on a shared model.
     for model in map(dataclasses.replace, BRUTE_MODELS):
         brute_force(model)
-        cached = vars(model)
-        assert {"arrays", "scale", "exact"} <= cached.keys()
-        assert "rises" not in cached and "falls" not in cached
+        fields = {f.name for f in dataclasses.fields(model)}
+        assert vars(model).keys() - fields == {"arrays", "scale", "exact"}
 
 
 def test_cached_arrays_follow_the_fields_in_J_order():
