@@ -225,35 +225,36 @@ def _require_seed(args) -> None:
 # Subcommands
 
 
-def _matches(db, run: grover.GroverRun) -> list[dict]:
-    return [{"index": i, "window": db.window_string(i)}
-            for i in run.matched_indices]
+def _matches(db, matched: list[int]) -> list[dict]:
+    return [{"index": i, "window": db.window_string(i)} for i in matched]
 
 
 def cmd_grover_demo(args) -> int:
     _require_seed(args)
     db = build_window_db("TATG", 1)
     problem = grover.make_problem(db, "A")
-    state_prep, oracle, diffusion = grover.prepare_circuits(problem)
-    run = grover.run_search(problem, iterations=args.iterations,
-                            shots=args.shots, seed=args.seed)
-    index = run.top_slot
+    p_exact, histogram, matched, top_slot = grover.run_search(
+        problem, iterations=args.iterations, shots=args.shots, seed=args.seed)
     payload = {
         "circuit": {
-            "state_prep": state_prep.dump().splitlines(),
-            "oracle": oracle.dump().splitlines(),
-            "diffusion_gates": len(diffusion),
+            "state_prep": grover.build_state_prep(db).dump().splitlines(),
+            "oracle": grover.build_oracle(problem).dump().splitlines(),
+            "diffusion_gates": grover.circuit_lengths(problem)[2],
         },
         "iterations": args.iterations,
-        "p_exact": run.p_exact,
-        "histogram": run.histogram,
-        "top_outcome": max(run.histogram, key=run.histogram.get),
-        "decoded": {"index": index, "base": db.window_string(index)},
-        "matches": _matches(db, run),
+        "p_exact": p_exact,
+        "histogram": histogram,
+        "top_outcome": max(histogram, key=histogram.get),
+        "decoded": {"index": top_slot, "base": db.window_string(top_slot)},
+        "matches": _matches(db, matched),
     }
     _emit_json(args, payload)
-    ok = run.p_exact >= 0.999 and index == 1
-    return EXIT_OK if ok else EXIT_DOMAIN
+    if p_exact >= 0.999 and top_slot == 1:
+        return EXIT_OK
+    sys.stderr.write(f"genoq: error: the search missed: top slot {top_slot}, "
+                     f"p_exact {_fmt(p_exact)}; success needs slot 1 and "
+                     f"p_exact >= 0.999\n")
+    return EXIT_DOMAIN
 
 
 def _parse_key(text: str) -> str:
@@ -274,15 +275,15 @@ def cmd_grover_search(args) -> int:
     iterations = args.iterations
     if iterations is None:
         iterations = grover.optimal_iterations(db.count, max(1, len(scan)))
-    run = grover.run_search(problem, iterations=iterations,
-                            shots=args.shots, seed=args.seed)
+    p_exact, histogram, matched, _ = grover.run_search(
+        problem, iterations=iterations, shots=args.shots, seed=args.seed)
     payload = {
         "iterations": iterations,
-        "p_exact": run.p_exact,
-        "histogram": run.histogram,
-        "matches": _matches(db, run),
+        "p_exact": p_exact,
+        "histogram": histogram,
+        "matches": _matches(db, matched),
         "classical_scan": scan,
-        "agreement": run.matched_indices == scan,
+        "agreement": matched == scan,
     }
     _emit_json(args, payload)
     return EXIT_OK
@@ -413,6 +414,8 @@ def cmd_tts_scan(args) -> int:
     _require_seed(args)
     sizes = _sizes(args.sizes)
     t_grid = _numbers("--t-grid", args.t_grid, qubo._finite)
+    if min(t_grid) <= 0:
+        raise ValueError(f"--t-grid values must be > 0, got {_fmt(min(t_grid))}")
     rows = ["N,t,p_hat,R,TTS"]
     star_rows = ["N,TTS_star,t_star,boundary_flag"]
     tts_star: dict[float, float] = {}

@@ -7,16 +7,18 @@ composite V . R0 . Vdag with R0 a sign flip of the all-zeros register.
 A search with m of its P slots marked never leaves the 2-dimensional span of
 "uniform over the marked slots" and "uniform over the others", so
 ``slot_amplitudes`` writes down the P slot amplitudes after k iterations from
-two closed-form values, without iterating. The gate-level circuits of
-``prepare_circuits`` are kept for circuit dumps and as the reference the
-closed form and the gate counts of ``circuit_lengths`` are tested against;
-the loading-cost scan counts from structure and builds no circuit.
-``search_unknown_count`` runs BBHT rounds on the same closed form.
+two closed-form values, without iterating. The gate-level circuits are the
+reference the closed form and the gate counts of ``circuit_lengths`` are
+tested against. ``grover-demo`` builds only the state prep and oracle it
+prints and counts its diffusion gates from structure, as the loading-cost
+scan counts all of its gates. ``search_unknown_count`` runs BBHT rounds on
+the same closed form.
 
 Results are plain values: ``prepare_circuits`` returns a (state prep,
 oracle, diffusion) tuple, ``loading_cost_scan`` returns (rows, prep
-exponent, total exponent), and a ``GroverRun`` holds what the search
-found, not its inputs. ``cli`` writes every CSV and JSON from them.
+exponent, total exponent), and ``run_search`` returns (p_exact, histogram,
+matched slots, top slot), what the search found, not its inputs. ``cli``
+writes every CSV and JSON from them.
 """
 
 from __future__ import annotations
@@ -64,14 +66,6 @@ def make_problem(db: ReadWindowDatabase, key: str) -> SearchProblem:
     _check_slots(db.count)
     layout = layout_for(len(db.genome), db.window_length)
     return SearchProblem(db, layout, int(encode_window(key), 2))
-
-
-@dataclass
-class GroverRun:
-    p_exact: float
-    histogram: dict[str, int]
-    matched_indices: list[int]  # ascending
-    top_slot: int  # the most-drawn slot, the lowest on a tie; grover-demo reads it
 
 
 def _data_flip_gates(layout: RegisterLayout, slot: int, code: int,
@@ -202,9 +196,12 @@ def slot_amplitudes(problem: SearchProblem, iterations: int
     return codes, marked, amps
 
 
-def run_search(problem: SearchProblem, iterations: int, shots: int,
-               seed: int) -> GroverRun:
-    """Take V|0> through ``iterations`` Grover iterations, then sample.
+def run_search(problem: SearchProblem, iterations: int, shots: int, seed: int
+               ) -> tuple[float, dict[str, int], list[int], int]:
+    """Take V|0> through ``iterations`` Grover iterations, then sample: the
+    exact success probability, the histogram of drawn bitstrings, the
+    ascending marked slots drawn, and the most-drawn slot (the lowest on a
+    tie), which ``grover-demo`` decodes without parsing a bitstring back.
 
     Shots are drawn over the slots exactly as ``sim.sample`` draws them over
     the full register, where every other basis state has amplitude zero; slot
@@ -222,12 +219,9 @@ def run_search(problem: SearchProblem, iterations: int, shots: int,
     data = np.where(slots < codes.size, codes.take(slots, mode="clip"), pad)
     histogram = {bitstring(j << low | d, layout.total): c
                  for j, d, c in zip(slots.tolist(), data.tolist(), counts.tolist())}
-    return GroverRun(
-        p_exact=float(p[marked].sum()),
-        histogram=histogram,
-        matched_indices=np.intersect1d(slots, marked, assume_unique=True).tolist(),
-        top_slot=int(slots[np.argmax(counts)]),
-    )
+    return (float(p[marked].sum()), histogram,
+            np.intersect1d(slots, marked, assume_unique=True).tolist(),
+            int(slots[np.argmax(counts)]))
 
 
 def classical_scan(db: ReadWindowDatabase, key: str) -> list[int]:

@@ -138,6 +138,8 @@ class WeightedGraph:
     edges: dict[tuple[int, int], float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("graph needs at least one node")
         for (i, j), w in self.edges.items():
             if not (0 <= i < j < self.n):
                 raise ValueError(f"edge {(i, j)} must satisfy 0 <= i < j < n")

@@ -65,6 +65,16 @@ def test_grover_demo_success(capsys):
     }
 
 
+def test_grover_demo_miss_writes_one_line(capsys):
+    code, out, err = run_cli(
+        ["grover-demo", "--seed", "16", "--iterations", "32", "--shots", "100",
+         "--no-timestamp"], capsys)
+    assert code == 1
+    assert json.loads(out)["decoded"] == {"index": 2, "base": "T"}
+    assert err == ("genoq: error: the search missed: top slot 2, p_exact "
+                   "0.2499999999999945; success needs slot 1 and p_exact >= 0.999\n")
+
+
 def test_grover_demo_overrotation_fails(capsys):
     code, out, _ = run_cli(
         ["grover-demo", "--seed", "1", "--iterations", "2"], capsys)
@@ -380,6 +390,15 @@ def test_grover_demo_golden_output(capsys):
         ["grover-demo", "--seed", "1", "--no-timestamp"], capsys)
     assert code == 0
     assert out == GROVER_DEMO_GOLDEN
+
+
+def test_grover_demo_golden_output_without_diffusion(capsys, monkeypatch):
+    def no_diffusion(*args):
+        raise AssertionError("grover-demo must count diffusion gates from structure")
+
+    for name in ("build_diffusion", "prepare_circuits"):
+        monkeypatch.setattr(grover, name, no_diffusion)
+    test_grover_demo_golden_output(capsys)
 
 
 @pytest.mark.parametrize("argv, flag, value", [
@@ -788,10 +807,14 @@ def test_qubo_solve_sa_bad_beta_exits_one(tmp_path, capsys, flags):
      "expected a number, got '4'"),
     ("tsp-path", '{"n": 2, "overlaps": [[0, 1, false]]}',
      "expected a number, got False"),
+    ("max-cut", '{"n": 0}', "graph needs at least one node"),
+    ("phasing", '{"n": -1, "edges": []}', "graph needs at least one node"),
+    ("mis", '{"n": -9223372036854775809}', "graph needs at least one node"),
 ], ids=["no-n", "not-object", "bad-json", "edges-not-list", "short-edge",
         "edge-out-of-range", "no-weights", "overlaps-no-n", "fractional-index",
         "fractional-value", "repeated-overlap", "nan-weight", "overlap-out-of-range",
-        "string-weight", "boolean-weight", "string-overlap", "boolean-overlap"])
+        "string-weight", "boolean-weight", "string-overlap", "boolean-overlap",
+        "graph-n-0", "graph-n-minus-1", "graph-n-below-int64"])
 def test_qubo_build_malformed_instance_exits_three(tmp_path, capsys, problem,
                                                    text, message):
     inst = tmp_path / "i.json"
@@ -939,6 +962,21 @@ def test_tts_scan_memory_does_not_grow_with_t(capsys):
     assert code == 0
     assert "8,1000000000,1,1,1000000000" in out
     assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("t_grid, low", [("-1", "-1"), ("0,1", "0"),
+                                         ("1,-2.5", "-2.5")])
+@pytest.mark.parametrize("stub", [[], ["--stub-tau", "2"], ["--stub-tau", "1e-308"]],
+                         ids=["sa", "stub", "stub-tiny-tau"])
+def test_tts_scan_t_not_positive_exits_one(capsys, monkeypatch, t_grid, low, stub):
+    # Refused before any model is built, on both paths.
+    monkeypatch.setattr(solvers, "planted_ferromagnet", None)
+    code, out, err = run_cli(
+        ["tts-scan", "--sizes", "4", f"--t-grid={t_grid}", "--seed", "0"]
+        + stub, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"genoq: error: --t-grid values must be > 0, got {low}\n"
 
 
 def test_tts_scan_sa_rejects_fractional_t(capsys):

@@ -81,10 +81,11 @@ def test_state_prep_capacity():
     db = build_window_db("ATGC" * 100, 20)
     with pytest.raises(CapacityError, match="qubits, ceiling is 26"):
         grover.build_state_prep(db)
-    run = grover.run_search(grover.make_problem(db, "ATGC" * 5), 1, 8, 1)
+    p_exact, histogram, _, _ = grover.run_search(
+        grover.make_problem(db, "ATGC" * 5), 1, 8, 1)
     theta = math.asin(math.sqrt(96 / 512))
-    assert run.p_exact == pytest.approx(math.sin(3 * theta) ** 2, abs=1e-12)
-    assert sum(run.histogram.values()) == 8
+    assert p_exact == pytest.approx(math.sin(3 * theta) ** 2, abs=1e-12)
+    assert sum(histogram.values()) == 8
 
 
 def test_oracle_marks_only_key():
@@ -189,11 +190,12 @@ def test_optimal_iterations():
 
 def test_run_search_toy():
     problem = toy_problem()
-    run = grover.run_search(problem, iterations=1, shots=512, seed=3)
-    assert run.p_exact >= 0.999
-    assert run.matched_indices == [1]
-    assert [problem.db.window_string(i) for i in run.matched_indices] == ["A"]
-    assert max(run.histogram, key=run.histogram.get) == "0100"
+    p_exact, histogram, matched, _ = grover.run_search(
+        problem, iterations=1, shots=512, seed=3)
+    assert p_exact >= 0.999
+    assert matched == [1]
+    assert [problem.db.window_string(i) for i in matched] == ["A"]
+    assert max(histogram, key=histogram.get) == "0100"
 
 
 def decoded_top_slot(problem, histogram):
@@ -204,14 +206,15 @@ def decoded_top_slot(problem, histogram):
 
 
 def test_top_slot_is_the_lowest_of_tied_slots():
-    run = grover.run_search(toy_problem(), iterations=0, shots=4, seed=8)
-    assert run.histogram == {"0100": 2, "1110": 2}
-    assert run.top_slot == 1 == decoded_top_slot(toy_problem(), run.histogram)
+    _, histogram, _, top_slot = grover.run_search(
+        toy_problem(), iterations=0, shots=4, seed=8)
+    assert histogram == {"0100": 2, "1110": 2}
+    assert top_slot == 1 == decoded_top_slot(toy_problem(), histogram)
 
 
 def test_run_search_zero_iterations_uniform():
-    run = grover.run_search(toy_problem(), iterations=0, shots=64, seed=3)
-    assert run.p_exact == pytest.approx(0.25)
+    p_exact, _, _, _ = grover.run_search(toy_problem(), iterations=0, shots=64, seed=3)
+    assert p_exact == pytest.approx(0.25)
 
 
 def test_run_search_matches_classical_scan():
@@ -228,8 +231,9 @@ def test_run_search_matches_classical_scan():
             continue
         problem = grover.make_problem(db, key)
         k = grover.optimal_iterations(db.padded_size, 1)
-        run = grover.run_search(problem, iterations=k, shots=256, seed=int(rng.integers(1 << 30)))
-        assert [run.top_slot] == scan
+        *_, top_slot = grover.run_search(problem, iterations=k, shots=256,
+                                         seed=int(rng.integers(1 << 30)))
+        assert [top_slot] == scan
 
 
 def test_success_probability_closed_form_small():
@@ -240,17 +244,17 @@ def test_success_probability_closed_form_small():
         problem = grover.make_problem(db, "A")
         theta = math.asin(math.sqrt(s / n))
         for k in range(4):
-            run = grover.run_search(problem, iterations=k, shots=8, seed=1)
-            assert run.p_exact == pytest.approx(
+            p_exact, _, _, _ = grover.run_search(problem, iterations=k, shots=8, seed=1)
+            assert p_exact == pytest.approx(
                 math.sin((2 * k + 1) * theta) ** 2, abs=1e-9)
 
 
 def test_single_window_database():
     db = build_window_db("AT", 2)
     problem = grover.make_problem(db, "AT")
-    run = grover.run_search(problem, iterations=1, shots=16, seed=2)
-    assert run.p_exact == pytest.approx(1.0)
-    assert run.matched_indices == [0]
+    p_exact, _, matched, _ = grover.run_search(problem, iterations=1, shots=16, seed=2)
+    assert p_exact == pytest.approx(1.0)
+    assert matched == [0]
 
 
 def test_classical_scan_examples():
@@ -360,9 +364,10 @@ def test_slot_evolution_matches_gate_circuits(case, seed):
         embedded = np.zeros_like(gates)
         embedded[basis] = amps
         assert np.max(np.abs(embedded - gates)) <= 1e-12
-        run = grover.run_search(problem, iterations=k, shots=64, seed=seed + k)
-        assert run.histogram == sim.sample(gates, seed=seed + k, shots=64)
-        assert run.p_exact == pytest.approx(
+        p_exact, histogram, _, _ = grover.run_search(
+            problem, iterations=k, shots=64, seed=seed + k)
+        assert histogram == sim.sample(gates, seed=seed + k, shots=64)
+        assert p_exact == pytest.approx(
             grover.success_probability(problem, gates), abs=1e-12)
 
 
@@ -374,8 +379,8 @@ def test_slot_evolution_matches_gate_circuits(case, seed):
 def test_top_slot_equals_decoded_top_outcome(case, iterations, shots, seed):
     genome, key = case
     problem = grover.make_problem(build_window_db(genome, len(key)), key)
-    run = grover.run_search(problem, iterations, shots, seed)
-    assert run.top_slot == decoded_top_slot(problem, run.histogram)
+    _, histogram, _, top_slot = grover.run_search(problem, iterations, shots, seed)
+    assert top_slot == decoded_top_slot(problem, histogram)
 
 
 @settings(max_examples=60, deadline=None)
