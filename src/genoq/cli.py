@@ -165,11 +165,27 @@ def _emit_csv(args, body: str) -> None:
     _emit(args, "\n".join(_csv_header(args)) + "\n" + body)
 
 
-def _number(flag: str, text, cast):
-    """``cast(text)``; a value that ``cast`` rejects is a ParseError naming
-    the flag."""
-    try:
+def _strict(cast):
+    """``cast``, first refusing text with ``_`` or a non-ASCII character, as
+    ``qubo.read_model`` does: ``int`` and ``float`` read ``1_0`` as 10 and
+    ``٣`` as 3. It keeps the cast's ``__name__`` for argparse's messages."""
+    def read(text):
+        if "_" in text or not text.isascii():
+            raise ValueError(f"{text!r} is not a plain ASCII number")
         return cast(text)
+
+    read.__name__ = cast.__name__
+    return read
+
+
+_int, _float = _strict(int), _strict(float)
+
+
+def _number(flag: str, text, cast):
+    """``cast(text)``, through ``_strict``; a value that it rejects is a
+    ParseError naming the flag."""
+    try:
+        return _strict(cast)(text)
     except (ValueError, OverflowError):
         raise ParseError(f"bad {flag} value {text!r}") from None
 
@@ -198,7 +214,7 @@ def _sizes(text) -> list[int]:
 def _seed(text: str) -> int:
     """A --seed value: numpy seeds are non-negative integers."""
     try:
-        seed = int(text)
+        seed = _int(text)
     except ValueError:
         seed = -1
     if seed < 0:
@@ -311,23 +327,19 @@ def _parse_freq(text: str) -> float:
 
 
 def cmd_runtime(args) -> int:
-    if args.freq is not None:
-        hw = runtime.HardwareProfile(
-            args.profile, _number("--freq", args.freq, _parse_freq))
-    else:
-        hw = runtime.BUILTIN_PROFILES[args.profile]
+    freq = (runtime.BUILTIN_PROFILES[args.profile] if args.freq is None
+            else _number("--freq", args.freq, _parse_freq))
+    runtime.quantum_runtime(1, 1, freq)  # a bad frequency is named before --N
     n = _number("--N", args.N, _whole)
     _at_least_one("--N", [n])
     sweep_sizes = ([n] if args.sweep is None
                    else _numbers("--sweep", args.sweep, _whole))
     _at_least_one("--sweep", sweep_sizes)
-    depth = runtime.max_depth_per_call(n, args.budget, hw)
-    calls, seconds_per_call = runtime.quantum_runtime(n, depth, hw)
-    classical = runtime.PowerLawModel(args.classical_seconds / n, 1.0)
-    quantum = runtime.PowerLawModel(depth / hw.logical_gate_frequency, 0.5)
+    depth = runtime.max_depth_per_call(n, args.budget, freq)
+    calls, seconds_per_call = runtime.quantum_runtime(n, depth, freq)
     lines = ["N,T_classical,T_quantum,crossover_flag"]
     for size, t_classical, t_quantum, crossover in runtime.runtime_sweep(
-            sweep_sizes, classical, quantum):
+            sweep_sizes, (args.classical_seconds / n, 1.0), (depth / freq, 0.5)):
         lines.append(f"{size},{_fmt(t_classical)},{_fmt(t_quantum)},"
                      f"{int(crossover)}")
     lines.append(f"# max_depth_per_call={depth}")
@@ -489,32 +501,32 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
 
     p = command("grover-demo", cmd_grover_demo,
                 "4-element toy database search, key 'A'")
-    p.add_argument("--iterations", type=int, default=1)
-    p.add_argument("--shots", type=int, default=256)
+    p.add_argument("--iterations", type=_int, default=1)
+    p.add_argument("--shots", type=_int, default=256)
 
     p = command("grover-search", cmd_grover_search,
                 "search a genome file for a key string")
     p.add_argument("--genome", required=True, help="plain or FASTA sequence file")
     p.add_argument("--key", required=True, help="key string of bases")
-    p.add_argument("--iterations", type=int,
+    p.add_argument("--iterations", type=_int,
                    help="Grover iterations (default: optimal for scan count)")
-    p.add_argument("--shots", type=int, default=1024)
+    p.add_argument("--shots", type=_int, default=1024)
 
     p = command("loading-scan", cmd_loading_scan,
                 "gate-count scaling sweep over genome sizes")
     p.add_argument("--sizes", default="64,128,256,512,1024,2048,4096",
                    help="comma-separated genome lengths")
-    p.add_argument("--window", type=int, default=2)
+    p.add_argument("--window", type=_int, default=2)
 
     p = command("runtime", cmd_runtime,
                 "quantum vs classical runtime and depth budgets")
     p.add_argument("--N", required=True, help="problem size (accepts 3e9)")
-    p.add_argument("--budget", type=float, default=60.0,
+    p.add_argument("--budget", type=_float, default=60.0,
                    help="total runtime budget in seconds")
     p.add_argument("--freq", help="logical gate frequency, e.g. 10kHz")
     p.add_argument("--profile", default="surface-10kHz",
                    choices=sorted(runtime.BUILTIN_PROFILES))
-    p.add_argument("--classical-seconds", type=float,
+    p.add_argument("--classical-seconds", type=_float,
                    default=runtime.DEFAULT_CLASSICAL_SECONDS)
     p.add_argument("--sweep", help="comma-separated N values for the CSV sweep")
 
@@ -523,22 +535,22 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
                    choices=("max-cut", "phasing", "assembly-path",
                             "tsp-path", "knapsack", "mis"))
     p.add_argument("--input", help="native instance as JSON")
-    p.add_argument("--n", type=int, help="random instance size (tsp/assembly)")
+    p.add_argument("--n", type=_int, help="random instance size (tsp/assembly)")
 
     p = command("qubo-solve", cmd_qubo_solve, "solve a serialized model")
     p.add_argument("--model", required=True, help="model file path")
     p.add_argument("--solver", choices=("brute", "sa"), default="brute")
-    p.add_argument("--sweeps", type=int, default=100)
-    p.add_argument("--beta-start", type=float, default=solvers.DEFAULT_BETA_START)
-    p.add_argument("--beta-end", type=float, default=solvers.DEFAULT_BETA_END)
+    p.add_argument("--sweeps", type=_int, default=100)
+    p.add_argument("--beta-start", type=_float, default=solvers.DEFAULT_BETA_START)
+    p.add_argument("--beta-end", type=_float, default=solvers.DEFAULT_BETA_END)
 
     p = command("tts-scan", cmd_tts_scan, "TTS curves and scaling fits")
     p.add_argument("--sizes", default="8,12,16,20,24")
     p.add_argument("--t-grid", default="1,2,4,8,16,32,64")
-    p.add_argument("--runs", type=int, default=50)
-    p.add_argument("--target-p", type=float, default=0.9)
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--stub-tau", type=float,
+    p.add_argument("--runs", type=_int, default=50)
+    p.add_argument("--target-p", type=_float, default=0.9)
+    p.add_argument("--density", type=_float, default=0.5)
+    p.add_argument("--stub-tau", type=_float,
                    help="use the closed-form stub p(t)=1-exp(-t/(tau*N))")
 
     options = {name: {a.dest: a for a in p._actions if a.dest != "help"}

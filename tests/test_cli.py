@@ -430,6 +430,30 @@ def test_bad_number_in_flag_exits_three(capsys, argv, flag, value):
     assert err == f"genoq: parse error: bad {flag} value {value!r}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["grover-demo", "--seed", "1", "--iterations", "1_0"],
+    ["grover-demo", "--seed", "\u0663"],
+    ["runtime", "--N=1_000"],
+    ["runtime", "--N", "100", "--budget", "\u0663"],
+    ["tts-scan", "--seed", "1", "--sizes", "8,1_2,16"],
+    ["qubo-solve", "--model",
+     str(Path(__file__).parent / "data" / "build_golden" / "max-cut.qubo"),
+     "--solver", "sa", "--seed", "1", "--sweeps", "1_0"],
+    "shots=1_0",
+], ids=["iterations", "seed", "runtime-N", "budget", "tts-sizes", "sweeps",
+        "config-shots"])
+def test_underscore_or_non_ascii_in_number_exits_three(tmp_path, capsys, argv):
+    # int() and float() read 1_0 as 10 and the Arabic-Indic digit as 3.
+    if isinstance(argv, str):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(argv + "\n")
+        argv = ["--config", str(cfg), "grover-demo", "--seed", "1"]
+    code, out, err = run_cli(argv + ["--no-timestamp"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("genoq")
+
+
 def test_single_size_from_config(tmp_path, capsys):
     # A one-number config value reaches a list flag as the flag's own text.
     cfg = tmp_path / "cfg"
@@ -1236,6 +1260,19 @@ def test_runtime_non_finite_value_exits_one(capsys, flag, value):
     assert err.count("\n") == 1
     assert "must be positive and finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["--N", "x", "--freq", "0"], "0.0"),
+    (["--N", "100", "--freq", "0", "--budget", "0"], "0.0"),
+    (["--N", "0", "--freq", "nan"], "nan"),
+], ids=["bad-N", "bad-budget", "N-below-one"])
+def test_runtime_bad_frequency_is_named_before_other_faults(capsys, argv, value):
+    code, out, err = run_cli(["runtime", *argv], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("genoq: error: gate frequency must be positive and finite, "
+                   f"got {value}\n")
 
 
 @pytest.mark.parametrize("value", ["-5", "0", "nan", "inf"])

@@ -1,6 +1,7 @@
 """In-process fuzz of every CLI input path: instance JSON, FASTA with
 ``--key``, config files and the numeric flags of ``runtime``,
-``loading-scan``, ``tts-scan`` and ``grover-demo``.
+``loading-scan``, ``tts-scan``, ``grover-demo``, ``qubo-solve --solver sa``
+and ``qubo-build --problem assembly-path --n``.
 
 Every case must exit 0, 1, 2 or 3 with no exception escaping ``main``; a
 nonzero exit writes exactly one stderr line starting with ``genoq``, and a
@@ -14,10 +15,11 @@ boundary tokens, small numbers, any float and short text.
 Bounds, so that a case stays near 10 ms: the model, slot and shot caps are
 lowered for the whole module (``SMALL_CAPS``), so any larger drawn size
 takes the cap's exit-2 path instead of allocating, and a file gets at most
-``MAX_EDITS`` edits. Two costs have no cap, and their values are bounded
+``MAX_EDITS`` edits. Three costs have no cap, and their values are bounded
 where they are drawn: an SA run time t (``tts-scan`` grids reach 2^63 on
-the stub path only) and a ``tts-scan`` grid read from a config file (that
-test takes the stub from the command line).
+the stub path only), a ``tts-scan`` grid read from a config file (that
+test takes the stub from the command line) and ``qubo-solve --sweeps``
+(2^63 sweeps run unbounded).
 """
 
 import contextlib
@@ -201,8 +203,9 @@ def test_loading_scan_any_numeric_flags_exit_cleanly(extra):
     exits_cleanly(["loading-scan", *extra])
 
 
-# An SA grid point t runs t sweeps per run, and no cap bounds t, so SA grids
-# draw no t above 64; stub grids, which always keep --stub-tau, draw any value.
+# An SA grid point t runs t sweeps per run, and no cap bounds t or --sweeps,
+# so SA grids and --sweeps draw no value above 64; stub grids, which always
+# keep --stub-tau, draw any value.
 SA_TIMES = st.one_of(st.sampled_from([b for b in BOUNDARY if b not in (
                          str(2**63 - 1), str(2**63 + 1))]),
                      st.integers(-3, 64).map(str), st.floats(max_value=64).map(repr),
@@ -229,3 +232,21 @@ def test_tts_scan_any_numeric_flags_exit_cleanly(extra):
 @example(extra=["--seed=16", "--iterations=32", "--shots=100"])  # was silent
 def test_grover_demo_any_numeric_flags_exit_cleanly(extra):
     exits_cleanly(["grover-demo", *extra])
+
+
+@FUZZ
+@given(model=st.sampled_from(sorted(path.stem for path in DATA.glob("*.qubo"))),
+       extra=flag_words(sweeps=(["1", "10", "64"], SA_TIMES),
+                        beta_start=fuzzed("0.1", "1"), beta_end=fuzzed("1", "10"),
+                        seed=fuzzed("0", "7")))
+@example(model="max-cut", extra=["--seed=1", "--sweeps=1_0"])
+def test_qubo_solve_sa_any_numeric_flags_exit_cleanly(model, extra):
+    exits_cleanly(["qubo-solve", f"--model={DATA / model}.qubo", "--solver=sa",
+                   *extra])
+
+
+@FUZZ
+@given(extra=flag_words(n=fuzzed("1", "3", "6"), seed=fuzzed("0", "5")))
+@example(extra=["--seed=0", "--n=1e3"])
+def test_qubo_build_random_assembly_any_numeric_flags_exit_cleanly(extra):
+    exits_cleanly(["qubo-build", "--problem=assembly-path", *extra])
